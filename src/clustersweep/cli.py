@@ -4,7 +4,8 @@ Stages communicate through a run archive directory, so the expensive sweep
 and stability refits never rerun just to tweak a graph or a name table.
 Configuration comes from a JSON file mirroring RunConfig plus flags that
 override it; the effective configuration (defaults included) is written into
-the archive. Exit codes: 1 config error, 2 IO error, 3 numeric failure,
+the archive, whose model files then fix the fit settings of the later stages.
+Exit codes: 1 config error, 2 IO error, 3 numeric failure,
 4 naming backend unavailable.
 """
 
@@ -16,6 +17,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from . import naming, pipeline, sankey, stability
 from .data import EmbeddingMatrix, load_embeddings
@@ -27,6 +29,9 @@ from .errors import (
     ParseError,
 )
 from .gmm import GmmConfig
+
+# RunConfig fields that set a fit; each is also a GmmConfig field of that name.
+FIT_SETTINGS = tuple(f.name for f in fields(GmmConfig) if f.name != "k")
 
 KIND_TOKENS = {
     "dimensions": "dimension_subsample",
@@ -72,6 +77,8 @@ class RunConfig:
     fallback_on_error: bool = False
     stopwords: str | None = None
     emoji_map: str | None = None
+    # Names set by the config file or a flag; not a field, so never archived.
+    explicit: ClassVar[frozenset[str]] = frozenset()
 
     def validate(self) -> None:
         if self.format not in ("csv", "bin"):
@@ -93,15 +100,7 @@ class RunConfig:
             raise ValueError(f"unknown stability kinds: {unknown}")
 
     def gmm_config(self) -> GmmConfig:
-        return GmmConfig(
-            k=self.k_min,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            reg_covar=self.reg_covar,
-            seed=self.seed,
-            n_init=self.n_init,
-            init_method=self.init_method,
-        )
+        return GmmConfig(k=self.k_min, **{name: getattr(self, name) for name in FIT_SETTINGS})
 
 
 def parse_threshold(text: str, n: int) -> int:
@@ -126,7 +125,7 @@ def parse_threshold(text: str, n: int) -> int:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, then the config file, then explicit flags."""
     known = {f.name for f in fields(RunConfig)}
-    merged = asdict(RunConfig())
+    given = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
@@ -138,12 +137,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-        merged.update(doc)
-    for name in known:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            merged[name] = flag_value
-    config = RunConfig(**merged)
+        given.update(doc)
+    flags = {name: getattr(args, name, None) for name in known}
+    given.update({name: value for name, value in flags.items() if value is not None})
+    config = RunConfig(**given)
+    config.explicit = frozenset(given)
     config.validate()
     return config
 
@@ -157,8 +155,13 @@ def _load_input(config: RunConfig) -> EmbeddingMatrix:
     return load_embeddings(path, config.format)
 
 
-def _archive_dir(config: RunConfig) -> Path:
-    return Path(config.out)
+def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> GmmConfig:
+    """The sweep's fit settings; an explicitly set value that differs is an error."""
+    for name in FIT_SETTINGS:
+        archived = getattr(archive.base, name)
+        if name in config.explicit and getattr(config, name) != archived:
+            raise ValueError(f"{name} conflicts with the sweep archive, which has {archived!r}")
+    return archive.base
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -167,7 +170,7 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ValueError(f"input has {data.n} rows; k-max {config.k_max} needs at least that many")
     base = config.gmm_config()
     result = pipeline.run_sweep(data, base, config.k_min, config.k_max, jobs=config.jobs)
-    pipeline.write_archive(result, base, config.out, run_config=asdict(config))
+    pipeline.write_archive(result, config.out, run_config=asdict(config))
 
     print(f"{'K':>3} {'occupied':>8} {'iters':>6} {'conv':>5} "
           f"{'log_likelihood':>16} {'ami_prev':>9} {'stab_prev':>9}")
@@ -187,7 +190,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_stability(config: RunConfig) -> int:
-    out = _archive_dir(config)
+    out = Path(config.out)
     references = None
     if (out / f"partition_{config.k_min}.csv").exists():
         archive = pipeline.read_archive(out)
@@ -197,31 +200,32 @@ def cmd_stability(config: RunConfig) -> int:
                 f"requested {config.k_min}..{config.k_max}"
             )
         references = {k: archive.partitions[k] for k in range(config.k_min, config.k_max + 1)}
+        base = _archived_fit_settings(config, archive)
         if config.input is None:
             archived = json.loads((out / "config.json").read_text(encoding="utf-8"))
             config.input = archived.get("input")
             config.format = archived.get("format", config.format)
-    elif not config.fit_reference:
+    elif config.fit_reference:
+        base = config.gmm_config()
+    else:
         raise FileNotFoundError(
             f"no sweep archive in {out}; run the sweep first or pass --fit-reference"
         )
     data = _load_input(config)
     out.mkdir(parents=True, exist_ok=True)
-    base = config.gmm_config()
     k_range = (config.k_min, config.k_max)
 
     curves = []
     for token in config.kinds:
-        kind = KIND_TOKENS[token]
         spec = stability.PerturbationSpec(
-            kind=kind,
+            kind=KIND_TOKENS[token],
             fraction=config.fraction,
             repetitions=config.repetitions,
             seed_range=(config.seed_lo, config.seed_hi),
             master_seed=config.master_seed,
         )
         curve = stability.run_protocol(
-            kind, data, base, k_range, spec, references=references, jobs=config.jobs
+            data, base, k_range, spec, references=references, jobs=config.jobs
         )
         stability.write_curve_csv(curve, out / f"stability_{token}.csv")
         stability.write_curve_json(curve, out / f"stability_{token}.json")
@@ -234,7 +238,7 @@ def cmd_stability(config: RunConfig) -> int:
 
 
 def cmd_sankey(config: RunConfig) -> int:
-    out = _archive_dir(config)
+    out = Path(config.out)
     if not (out / f"partition_{config.k_min}.csv").exists():
         raise FileNotFoundError(f"no sweep archive in {out}; run the sweep first")
     archive = pipeline.read_archive(out)
@@ -262,12 +266,13 @@ def _load_texts(path: str | Path) -> dict[str, str]:
 
 
 def cmd_name(config: RunConfig) -> int:
-    out = _archive_dir(config)
+    out = Path(config.out)
     if not (out / f"partition_{config.k_min}.csv").exists():
         raise FileNotFoundError(f"no sweep archive in {out}; run the sweep first")
     if not config.texts:
         raise ValueError("naming needs --texts (CSV with id,text columns)")
     archive = pipeline.read_archive(out)
+    sample_seed = _archived_fit_settings(config, archive).seed
     texts_by_id = _load_texts(config.texts)
 
     if config.fallback or not config.backend_url:
@@ -286,11 +291,6 @@ def cmd_name(config: RunConfig) -> int:
         naming.load_stopwords(config.stopwords) if config.stopwords else naming.DEFAULT_STOPWORDS
     )
     emoji_map = naming.load_emoji_map(config.emoji_map) if config.emoji_map else None
-    try:
-        archived = json.loads((out / "config.json").read_text(encoding="utf-8"))
-        sample_seed = int(archived.get("seed", config.seed))
-    except (FileNotFoundError, json.JSONDecodeError):
-        sample_seed = config.seed
 
     assignments = []
     for k in range(archive.k_min, archive.k_max + 1):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -28,13 +29,15 @@ STARVATION_FRACTION = 1e-10
 
 IterationHook = Callable[[int, float, np.ndarray], None]
 
+# JSON types per GmmConfig field type; save_model prints a whole float as an int.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
 
 @dataclass(frozen=True)
 class GmmConfig:
     """Fit settings; defaults match a K-sweep run (seed 0, 2000 iterations)."""
 
     k: int
-    covariance: str = "diag"
     max_iter: int = 2000
     tol: float = 1e-3
     reg_covar: float = 1e-6
@@ -45,8 +48,6 @@ class GmmConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.covariance != "diag":
-            raise ValueError("only diagonal covariance is supported")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
@@ -69,6 +70,16 @@ class GmmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GmmConfig":
+        """Inverse of :meth:`to_dict` that checks each field's JSON type.
+
+        Accepts the ``"covariance": "diag"`` entry of older files. Raises
+        TypeError on a missing, unknown or ill-typed field.
+        """
+        d = {key: v for key, v in dict(d).items() if (key, v) != ("covariance", "diag")}
+        for f in fields(cls):
+            value = d.get(f.name)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise TypeError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         return cls(**d)
 
 
@@ -326,6 +337,14 @@ def fit(
     return model, partition
 
 
+def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:
+    """The executor for independent fits: ``[fn(x) for x in items]``, threaded if jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def predict(model: MixtureModel, data: EmbeddingMatrix) -> Partition:
     """Assign items to their argmax-responsibility component (lowest index on ties)."""
     resp, _ = e_step(model, data)
@@ -366,18 +385,22 @@ def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None
 
 
 def load_model(path: str | Path) -> tuple[MixtureModel, GmmConfig]:
-    """Read a model JSON written by :func:`save_model`."""
+    """Read a model JSON written by :func:`save_model`.
+
+    Raises:
+        ParseError: if the file is not JSON or a field is missing or ill-typed.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid model JSON: {exc}") from exc
-    model = MixtureModel(
-        k=int(doc["k"]),
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        means=np.asarray(doc["means"], dtype=np.float64),
-        variances=np.asarray(doc["variances"], dtype=np.float64),
-        converged=bool(doc["converged"]),
-        n_iter=int(doc["n_iter"]),
-        final_log_likelihood=float(doc["final_log_likelihood"]),
-    )
-    return model, GmmConfig.from_dict(doc["config"])
+        model = MixtureModel(
+            k=int(doc["k"]),
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            means=np.asarray(doc["means"], dtype=np.float64),
+            variances=np.asarray(doc["variances"], dtype=np.float64),
+            converged=bool(doc["converged"]),
+            n_iter=int(doc["n_iter"]),
+            final_log_likelihood=float(doc["final_log_likelihood"]),
+        )
+        return model, GmmConfig.from_dict(doc["config"])
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise ParseError(f"{path}: invalid model JSON: {exc!r}") from exc

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,13 +38,14 @@ class ConsecutiveComparison:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Partitions, models, and consecutive-resolution metrics for one sweep."""
+    """Partitions, models, consecutive metrics, and the fit settings (at k_min) of one sweep."""
 
     k_min: int
     k_max: int
     partitions: dict[int, Partition]
     models: dict[int, MixtureModel]
     consecutive: tuple[ConsecutiveComparison, ...]
+    base: GmmConfig
 
     def comparison_at(self, k_current: int) -> ConsecutiveComparison:
         if not (self.k_min < k_current <= self.k_max):
@@ -102,13 +102,7 @@ def run_sweep(
             )
         return k, model, partition
 
-    ks = list(range(k_min, k_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = list(pool.map(fit_one, ks))
-    else:
-        fitted = [fit_one(k) for k in ks]
-
+    fitted = gmm._map_ordered(fit_one, range(k_min, k_max + 1), jobs)
     partitions = {k: part for k, _, part in fitted}
     models = {k: model for k, model, _ in fitted}
     return SweepResult(
@@ -117,6 +111,7 @@ def run_sweep(
         partitions=partitions,
         models=models,
         consecutive=_consecutive_metrics(partitions, k_min, k_max),
+        base=base.with_k(k_min),
     )
 
 
@@ -145,7 +140,6 @@ def consecutive_to_json(result: SweepResult) -> list[dict]:
 
 def write_archive(
     result: SweepResult,
-    base: GmmConfig,
     out_dir: str | Path,
     run_config: dict | None = None,
 ) -> None:
@@ -155,21 +149,24 @@ def write_archive(
     config_doc = run_config if run_config is not None else {
         "k_min": result.k_min,
         "k_max": result.k_max,
-        "gmm": base.to_dict(),
+        "gmm": result.base.to_dict(),
     }
     with open(out / "config.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(config_doc, fh, indent=2)
         fh.write("\n")
     for k in range(result.k_min, result.k_max + 1):
         save_partition(result.partitions[k], out / f"partition_{k}.csv")
-        gmm.save_model(result.models[k], base.with_k(k), out / f"model_{k}.json")
+        gmm.save_model(result.models[k], result.base.with_k(k), out / f"model_{k}.json")
     with open(out / "consecutive_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(consecutive_to_json(result), fh, indent=2)
         fh.write("\n")
 
 
 def read_archive(path: str | Path) -> SweepResult:
-    """Load a sweep archive back; consecutive metrics are recomputed exactly."""
+    """Load a sweep archive back; consecutive metrics are recomputed exactly.
+
+    Every K needs a model_K.json; their fit settings must agree.
+    """
     root = Path(path)
     ks = sorted(
         int(m.group(1))
@@ -185,15 +182,17 @@ def read_archive(path: str | Path) -> SweepResult:
     for k in ks[1:]:
         if set(partitions[k].ids) != set(ids):
             raise ParseError(f"{root}: partition_{k}.csv covers a different id set")
-    models = {}
+    models, bases = {}, set()
     for k in ks:
-        model_path = root / f"model_{k}.json"
-        if model_path.exists():
-            models[k], _ = gmm.load_model(model_path)
+        models[k], config = gmm.load_model(root / f"model_{k}.json")
+        bases.add(config.with_k(ks[0]))
+    if len(bases) > 1:
+        raise ParseError(f"{root}: model files disagree on the fit settings")
     return SweepResult(
         k_min=ks[0],
         k_max=ks[-1],
         partitions=partitions,
         models=models,
         consecutive=_consecutive_metrics(partitions, ks[0], ks[-1]),
+        base=bases.pop(),
     )

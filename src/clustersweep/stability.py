@@ -11,15 +11,15 @@ are independent.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, intersect_partitions
-from .gmm import GmmConfig
+from .gmm import GmmConfig, MixtureModel
 from .metrics import ami
 
 KINDS = ("dimension_subsample", "row_subsample", "seed_variation")
@@ -57,42 +57,64 @@ class StabilityCurve:
     k_values: tuple[int, ...]
     mean_ami: tuple[float, ...]
     std_ami: tuple[float, ...]
-    per_rep: np.ndarray | None = None
+    per_rep: np.ndarray
 
     def __post_init__(self):
         if not (len(self.k_values) == len(self.mean_ami) == len(self.std_ami)):
             raise ValueError("k_values, mean_ami, std_ami must share a length")
 
 
-def _fit_references(
+def _run(
+    kind: str,
     data: EmbeddingMatrix,
     base: GmmConfig,
-    ks: list[int],
+    k_range: tuple[int, int],
+    spec: PerturbationSpec,
     references: dict[int, Partition] | None,
-) -> dict[int, Partition]:
+    jobs: int,
+    reps: Iterable[int],
+    perturb: Callable[[int], tuple[EmbeddingMatrix, GmmConfig]],
+    compare: Callable[[MixtureModel, Partition, Partition], float] | None = None,
+) -> StabilityCurve:
+    """The protocol of every kind: perturb, refit every K, score against the reference.
+
+    ``perturb(r)`` gives the data and fit settings for each r in ``reps``.
+    ``compare(model, partition, reference)`` scores a refit, by default the
+    AMI of the two partitions. K=1 scores 1.0 by convention, unfitted.
+    """
+    if spec.kind != kind:
+        raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
+    ks = list(range(k_range[0], k_range[1] + 1))
     refs = dict(references) if references else {}
     for k in ks:
-        if k not in refs:
+        if k > 1 and k not in refs:
             _, refs[k] = gmm.fit(data, base.with_k(k))
-    return refs
 
+    def one_rep(r: int) -> list[float]:
+        sub, config = perturb(r)
+        row = []
+        for k in ks:
+            if k == 1:
+                row.append(1.0)
+                continue
+            model, part = gmm.fit(sub, config.with_k(k))
+            row.append(compare(model, part, refs[k]) if compare else ami(part, refs[k]).ami)
+        return row
 
-def _aggregate(kind: str, ks: list[int], rows: list[list[float]], keep_per_rep: bool) -> StabilityCurve:
-    per_rep = np.asarray(rows, dtype=np.float64)
+    per_rep = np.asarray(gmm._map_ordered(one_rep, reps, jobs), dtype=np.float64)
     return StabilityCurve(
         kind=kind,
         k_values=tuple(ks),
         mean_ami=tuple(float(x) for x in per_rep.mean(axis=0)),
         std_ami=tuple(float(x) for x in per_rep.std(axis=0)),
-        per_rep=per_rep if keep_per_rep else None,
+        per_rep=per_rep,
     )
 
 
-def _run_reps(n_reps: int, one_rep, jobs: int) -> list[list[float]]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one_rep, range(n_reps)))
-    return [one_rep(r) for r in range(n_reps)]
+def _subsample(spec: PerturbationSpec, r: int, n: int, size: int) -> np.ndarray:
+    """Repetition r's draw of ``size`` distinct indices below n, ascending."""
+    rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, r)))
+    return np.sort(rng.choice(n, size=size, replace=False))
 
 
 def dimension_stability(
@@ -102,7 +124,6 @@ def dimension_stability(
     spec: PerturbationSpec,
     references: dict[int, Partition] | None = None,
     jobs: int = 1,
-    keep_per_rep: bool = True,
 ) -> StabilityCurve:
     """AMI of fits on random dimension subsets against full-dimension fits.
 
@@ -110,28 +131,14 @@ def dimension_stability(
     original order), refits at every K, and compares against the reference
     partition at the same K. K=1 is 1.0 by convention.
     """
-    if spec.kind != "dimension_subsample":
-        raise ValueError(f"spec.kind must be dimension_subsample, got {spec.kind!r}")
-    ks = list(range(k_range[0], k_range[1] + 1))
     n_cols = int(spec.fraction * data.d)
     if n_cols < 1:
         raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
-    refs = _fit_references(data, base, [k for k in ks if k > 1], references)
-
-    def one_rep(r: int) -> list[float]:
-        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, r)))
-        cols = np.sort(rng.choice(data.d, size=n_cols, replace=False))
-        sub = data.subset_columns(cols)
-        row = []
-        for k in ks:
-            if k == 1:
-                row.append(1.0)
-                continue
-            _, part = gmm.fit(sub, base.with_k(k))
-            row.append(ami(part, refs[k]).ami)
-        return row
-
-    return _aggregate(spec.kind, ks, _run_reps(spec.repetitions, one_rep, jobs), keep_per_rep)
+    return _run(
+        "dimension_subsample", data, base, k_range, spec, references, jobs,
+        range(spec.repetitions),
+        lambda r: (data.subset_columns(_subsample(spec, r, data.d, n_cols)), base),
+    )
 
 
 def row_stability(
@@ -141,7 +148,6 @@ def row_stability(
     spec: PerturbationSpec,
     references: dict[int, Partition] | None = None,
     jobs: int = 1,
-    keep_per_rep: bool = True,
     use_predict: bool = False,
 ) -> StabilityCurve:
     """AMI of fits on random row subsets against the full-data fits.
@@ -151,31 +157,20 @@ def row_stability(
     instead assigns every row with the subsample-fitted model and compares
     full partitions.
     """
-    if spec.kind != "row_subsample":
-        raise ValueError(f"spec.kind must be row_subsample, got {spec.kind!r}")
-    ks = list(range(k_range[0], k_range[1] + 1))
     n_rows = int(spec.fraction * data.n)
-    if n_rows < max(ks):
-        raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={max(ks)}")
-    refs = _fit_references(data, base, [k for k in ks if k > 1], references)
+    if n_rows < k_range[1]:
+        raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={k_range[1]}")
 
-    def one_rep(r: int) -> list[float]:
-        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, r)))
-        rows = np.sort(rng.choice(data.n, size=n_rows, replace=False))
-        sub = data.subset_rows(rows)
-        row = []
-        for k in ks:
-            if k == 1:
-                row.append(1.0)
-                continue
-            model, part = gmm.fit(sub, base.with_k(k))
-            if use_predict:
-                row.append(ami(gmm.predict(model, data), refs[k]).ami)
-            else:
-                row.append(ami(*intersect_partitions(part, refs[k])).ami)
-        return row
+    def compare(model: MixtureModel, part: Partition, ref: Partition) -> float:
+        if use_predict:
+            return ami(gmm.predict(model, data), ref).ami
+        return ami(*intersect_partitions(part, ref)).ami
 
-    return _aggregate(spec.kind, ks, _run_reps(spec.repetitions, one_rep, jobs), keep_per_rep)
+    return _run(
+        "row_subsample", data, base, k_range, spec, references, jobs, range(spec.repetitions),
+        lambda r: (data.subset_rows(_subsample(spec, r, data.n, n_rows)), base),
+        compare,
+    )
 
 
 def seed_stability(
@@ -185,43 +180,27 @@ def seed_stability(
     spec: PerturbationSpec,
     references: dict[int, Partition] | None = None,
     jobs: int = 1,
-    keep_per_rep: bool = True,
 ) -> StabilityCurve:
     """AMI of fits under alternative seeds against the base-seed fits."""
-    if spec.kind != "seed_variation":
-        raise ValueError(f"spec.kind must be seed_variation, got {spec.kind!r}")
-    ks = list(range(k_range[0], k_range[1] + 1))
-    seeds = list(spec.seeds())
-    refs = _fit_references(data, base, [k for k in ks if k > 1], references)
-
-    def one_rep(r: int) -> list[float]:
-        seeded = base.with_seed(seeds[r])
-        row = []
-        for k in ks:
-            if k == 1:
-                row.append(1.0)
-                continue
-            _, part = gmm.fit(data, seeded.with_k(k))
-            row.append(ami(part, refs[k]).ami)
-        return row
-
-    return _aggregate(spec.kind, ks, _run_reps(len(seeds), one_rep, jobs), keep_per_rep)
+    return _run(
+        "seed_variation", data, base, k_range, spec, references, jobs, spec.seeds(),
+        lambda seed: (data, base.with_seed(seed)),
+    )
 
 
 def run_protocol(
-    kind: str,
     data: EmbeddingMatrix,
     base: GmmConfig,
     k_range: tuple[int, int],
     spec: PerturbationSpec,
     **kwargs,
 ) -> StabilityCurve:
-    """Dispatch one of the three protocols by kind."""
+    """Dispatch to the protocol named by ``spec.kind``."""
     fn = {
         "dimension_subsample": dimension_stability,
         "row_subsample": row_stability,
         "seed_variation": seed_stability,
-    }[kind]
+    }[spec.kind]
     return fn(data, base, k_range, spec, **kwargs)
 
 
@@ -234,8 +213,6 @@ def write_curve_csv(curve: StabilityCurve, path: str | Path) -> None:
 
 def write_curve_reps_csv(curve: StabilityCurve, path: str | Path) -> None:
     """Wide per-repetition matrix: one row per repetition, one column per K."""
-    if curve.per_rep is None:
-        raise ValueError("curve carries no per-repetition values")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rep," + ",".join(f"k{k}" for k in curve.k_values) + "\n")
         for r in range(curve.per_rep.shape[0]):
@@ -248,9 +225,8 @@ def write_curve_json(curve: StabilityCurve, path: str | Path) -> None:
         "k_values": list(curve.k_values),
         "mean_ami": list(curve.mean_ami),
         "std_ami": list(curve.std_ami),
+        "per_rep": [[float(x) for x in row] for row in curve.per_rep],
     }
-    if curve.per_rep is not None:
-        doc["per_rep"] = [[float(x) for x in row] for row in curve.per_rep]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

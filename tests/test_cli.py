@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from clustersweep.cli import main, parse_threshold, resolve_config, build_parser
-from clustersweep.data import load_partition, save_embeddings
-from clustersweep.pipeline import read_archive
+from clustersweep.data import load_embeddings, load_partition, save_embeddings
+from clustersweep.gmm import GmmConfig
+from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
 from conftest import make_blobs, spread_centers
 
@@ -36,6 +37,23 @@ def run_sweep_once(fixture_dir, out_dir, extra=()):
         "sweep", "--input", str(fixture_dir / "emb.csv"),
         "--k-min", "1", "--k-max", "5", "--out", str(out_dir), *extra,
     ])
+
+
+# Fit settings loose enough that refits under other settings disagree with the
+# sweep at K=5..8 on the fixture.
+LOOSE = ["--seed", "7", "--tol", "1e-9", "--max-iter", "3"]
+SELF_SEED = ["--k-max", "8", "--kinds", "seeds", "--seed-lo", "7", "--seed-hi", "7"]
+
+
+def sweep_loose(fixture_dir, out_dir):
+    return main([
+        "sweep", "--input", str(fixture_dir / "emb.csv"),
+        "--k-max", "8", "--out", str(out_dir), *LOOSE,
+    ])
+
+
+def curve_means(path):
+    return [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
 
 
 class TestThresholdParsing:
@@ -198,6 +216,38 @@ class TestStabilityCommand:
         assert code == 0
         assert (out / "stability_seeds.csv").exists()
 
+    def test_refits_use_archived_fit_settings(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        assert sweep_loose(fixture_dir, out) == 0
+        assert main(["stability", "--out", str(out), *SELF_SEED]) == 0
+        assert curve_means(out / "stability_seeds.csv") == [1.0] * 8
+
+    def test_conflicting_fit_setting_exits_1(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        sweep_loose(fixture_dir, out)
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out), *SELF_SEED, "--seed", "3"]) == 1
+        assert "seed" in capsys.readouterr().err
+        (tmp_path / "run.json").write_text('{"tol": 0.001}')
+        config = ["--config", str(tmp_path / "run.json")]
+        assert main(["stability", "--out", str(out), *SELF_SEED, *config]) == 1
+        assert "tol" in capsys.readouterr().err
+        texts = ["--texts", str(fixture_dir / "texts.csv"), "--fallback"]
+        assert main(["name", "--out", str(out), *texts, "--seed", "3"]) == 1
+        # Restating the archived value is no conflict.
+        assert main(["stability", "--out", str(out), *SELF_SEED, *LOOSE]) == 0
+
+    def test_library_archive_fit_settings(self, fixture_dir, tmp_path):
+        data = load_embeddings(fixture_dir / "emb.csv")
+        base = GmmConfig(k=1, seed=7, tol=1e-9, max_iter=3)
+        write_archive(run_sweep(data, base, 1, 8), tmp_path / "lib")
+        code = main([
+            "stability", "--input", str(fixture_dir / "emb.csv"),
+            "--out", str(tmp_path / "lib"), *SELF_SEED,
+        ])
+        assert code == 0
+        assert curve_means(tmp_path / "lib" / "stability_seeds.csv") == [1.0] * 8
+
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
@@ -254,6 +304,17 @@ class TestSankeyCommand:
         main(["sankey", "--out", str(out), "--threshold", "0", "--names", str(out / "names.csv")])
         doc = json.loads((out / "graph.json").read_text())
         assert any(n["label"] != n["id"] for n in doc["nodes"])
+
+
+    def test_corrupt_model_file_exits_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        (out / "model_3.json").write_text('{"k": 3}')
+        assert main(["sankey", "--out", str(out)]) == 2
+        assert "model_3.json" in capsys.readouterr().err
+        (out / "model_3.json").unlink()
+        assert main(["sankey", "--out", str(out)]) == 2
+        assert "model_3.json" in capsys.readouterr().err
 
 
 class TestNameCommand:

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from clustersweep.errors import DimensionMismatch, InsufficientData
+from clustersweep.errors import DimensionMismatch, InsufficientData, ParseError
 from clustersweep.gmm import (
     GmmConfig,
     MixtureModel,
@@ -276,3 +277,38 @@ class TestModelSerialization:
         )
         save_model(model, GmmConfig(k=1), tmp_path / "m.json")
         assert "0.10000000000000001" in (tmp_path / "m.json").read_text()
+
+    def test_reads_files_with_covariance_entry(self, tmp_path):
+        """Model files from before GmmConfig.covariance was dropped still load."""
+        model = MixtureModel(
+            k=1, weights=[1.0], means=[[0.5]], variances=[[2.0]],
+            converged=True, n_iter=1, final_log_likelihood=-1.0,
+        )
+        save_model(model, GmmConfig(k=1, seed=7), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["config"] = {"k": 1, "covariance": "diag", **doc["config"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        back, back_config = load_model(tmp_path / "m.json")
+        assert back_config == GmmConfig(k=1, seed=7)
+        assert np.array_equal(back.means, model.means)
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", None), ("k", "three"), ("means", [[0.5, 1.0]]),
+        ("config.tol", None), ("config.seed", "7"), ("config.n_init", True), ("config", [1]),
+    ])
+    def test_missing_or_ill_typed_field_is_parse_error(self, tmp_path, field, value):
+        model = MixtureModel(
+            k=1, weights=[1.0], means=[[0.5]], variances=[[2.0]],
+            converged=True, n_iter=1, final_log_likelihood=-1.0,
+        )
+        save_model(model, GmmConfig(k=1), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        *nested, key = field.split(".")
+        target = doc["config"] if nested else doc
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="m.json"):
+            load_model(tmp_path / "m.json")

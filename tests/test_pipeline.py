@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import clustersweep.gmm
-from clustersweep.errors import ClusterSweepError, NumericFailure, OutOfRange
+from clustersweep.errors import ClusterSweepError, NumericFailure, OutOfRange, ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import ami, stability_from_table
 from clustersweep.pipeline import (
@@ -127,7 +127,7 @@ class TestTransitionCounts:
 class TestArchive:
     def test_round_trip(self, three_blob_sweep, tmp_path):
         data, _, result = three_blob_sweep
-        write_archive(result, GmmConfig(k=1), tmp_path / "arch")
+        write_archive(result, tmp_path / "arch")
         back = read_archive(tmp_path / "arch")
         assert back.k_min == 1 and back.k_max == 4
         for k in range(1, 5):
@@ -135,19 +135,28 @@ class TestArchive:
             assert back.partitions[k].ids == result.partitions[k].ids
             assert np.array_equal(back.models[k].means, result.models[k].means)
         assert back.consecutive == result.consecutive
+        assert back.base == result.base == GmmConfig(k=1)
 
     def test_expected_files(self, three_blob_sweep, tmp_path):
         _, _, result = three_blob_sweep
-        write_archive(result, GmmConfig(k=1), tmp_path / "arch")
+        write_archive(result, tmp_path / "arch")
         names = {p.name for p in (tmp_path / "arch").iterdir()}
         expected = {"config.json", "consecutive_metrics.json"}
         expected |= {f"partition_{k}.csv" for k in range(1, 5)}
         expected |= {f"model_{k}.json" for k in range(1, 5)}
         assert names == expected
 
+    def test_model_files_must_agree_on_fit_settings(self, three_blob_sweep, tmp_path):
+        _, _, result = three_blob_sweep
+        write_archive(result, tmp_path / "arch")
+        path = tmp_path / "arch" / "model_2.json"
+        path.write_text(path.read_text().replace('"seed": 0', '"seed": 5'))
+        with pytest.raises(ParseError, match="disagree"):
+            read_archive(tmp_path / "arch")
+
     def test_consecutive_metrics_schema(self, three_blob_sweep, tmp_path):
         _, _, result = three_blob_sweep
-        write_archive(result, GmmConfig(k=1), tmp_path / "arch")
+        write_archive(result, tmp_path / "arch")
         doc = json.loads((tmp_path / "arch" / "consecutive_metrics.json").read_text())
         assert [entry["k_current"] for entry in doc] == [2, 3, 4]
         first = doc[0]

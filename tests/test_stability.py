@@ -21,6 +21,19 @@ from conftest import make_blobs, spread_centers
 
 BASE = GmmConfig(k=1)
 
+# One spec per kind that perturbs, and one control per kind that must score
+# exactly 1.0: fraction=1.0 for the subsample kinds, the base seed for seeds.
+PERTURBED = [
+    PerturbationSpec(kind="dimension_subsample", fraction=0.6, repetitions=4),
+    PerturbationSpec(kind="row_subsample", fraction=0.6, repetitions=4),
+    PerturbationSpec(kind="seed_variation", seed_range=(1, 4)),
+]
+CONTROLS = [
+    PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3),
+    PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3),
+    PerturbationSpec(kind="seed_variation", seed_range=(0, 0)),
+]
+
 
 @pytest.fixture(scope="module")
 def small_blobs():
@@ -42,13 +55,24 @@ class TestPerturbationSpec:
             dimension_stability(small_blobs, BASE, (1, 2), spec)
 
 
-class TestDimensionStability:
-    def test_full_fraction_is_exactly_one(self, small_blobs):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3)
-        curve = dimension_stability(small_blobs, BASE, (1, 3), spec)
-        assert curve.mean_ami == (1.0, 1.0, 1.0)
-        assert curve.std_ami == (0.0, 0.0, 0.0)
+class TestAllKinds:
+    @pytest.mark.parametrize("spec", CONTROLS, ids=lambda spec: spec.kind)
+    def test_control_is_exactly_one(self, small_blobs, spec):
+        curve = run_protocol(small_blobs, BASE, (1, 5), spec)
+        assert curve.mean_ami == (1.0,) * 5
+        assert curve.std_ami == (0.0,) * 5
+        assert curve.per_rep.shape == (1 if spec.kind == "seed_variation" else 3, 5)
 
+    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
+    def test_jobs_do_not_change_results(self, small_blobs, spec):
+        # Above K=3 the three blobs split differently per repetition, so
+        # repetitions joined out of order would show.
+        serial = run_protocol(small_blobs, BASE, (1, 5), spec)
+        threaded = run_protocol(small_blobs, BASE, (1, 5), spec, jobs=4)
+        assert np.array_equal(serial.per_rep, threaded.per_rep)
+
+
+class TestDimensionStability:
     def test_k1_is_one_for_every_repetition(self, small_blobs):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.5, repetitions=4)
         curve = dimension_stability(small_blobs, BASE, (1, 2), spec)
@@ -65,12 +89,6 @@ class TestDimensionStability:
         c2 = dimension_stability(small_blobs, BASE, (1, 3), spec)
         assert np.array_equal(c1.per_rep, c2.per_rep)
 
-    def test_jobs_do_not_change_results(self, small_blobs):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.6, repetitions=4)
-        serial = dimension_stability(small_blobs, BASE, (1, 3), spec)
-        threaded = dimension_stability(small_blobs, BASE, (1, 3), spec, jobs=4)
-        assert np.array_equal(serial.per_rep, threaded.per_rep)
-
     def test_fraction_too_small(self, small_blobs):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.01, repetitions=1)
         with pytest.raises(ValueError):
@@ -78,11 +96,6 @@ class TestDimensionStability:
 
 
 class TestRowStability:
-    def test_full_fraction_is_exactly_one(self, small_blobs):
-        spec = PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3)
-        curve = row_stability(small_blobs, BASE, (1, 3), spec)
-        assert curve.mean_ami == (1.0, 1.0, 1.0)
-
     def test_separated_blobs(self, small_blobs):
         spec = PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=6)
         curve = row_stability(small_blobs, BASE, (3, 3), spec)
@@ -100,12 +113,6 @@ class TestRowStability:
 
 
 class TestSeedStability:
-    def test_self_seed_is_exactly_one(self, small_blobs):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(0, 0))
-        curve = seed_stability(small_blobs, BASE, (1, 3), spec)
-        assert curve.mean_ami == (1.0, 1.0, 1.0)
-        assert curve.per_rep.shape == (1, 3)
-
     def test_k1_always_one(self, small_blobs):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 5))
         curve = seed_stability(small_blobs, BASE, (1, 1), spec)
@@ -168,7 +175,7 @@ class TestReferencesAndAggregation:
 
     def test_run_protocol_dispatch(self, small_blobs):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
-        curve = run_protocol("seed_variation", small_blobs, BASE, (1, 2), spec)
+        curve = run_protocol(small_blobs, BASE, (1, 2), spec)
         assert curve.kind == "seed_variation"
 
 
