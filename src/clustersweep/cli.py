@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
@@ -25,6 +26,7 @@ from .errors import (
     BackendUnavailable,
     ClusterSweepError,
     InsufficientData,
+    MissingArchive,
     NumericFailure,
     ParseError,
 )
@@ -39,68 +41,105 @@ KIND_TOKENS = {
     "seeds": "seed_variation",
 }
 
+COMMANDS = ("sweep", "stability", "sankey", "name")
+
+# Exit code per error type; the first match wins.
+EXIT_CODES = (
+    (BackendUnavailable, 4),
+    (NumericFailure, 3),
+    ((ValueError, InsufficientData), 1),
+    ((OSError, ClusterSweepError), 2),
+)
+
+# Flag types by annotation; a config-file value needs the same type (an int passes as a float).
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _setting(default, help: str, *commands: str, flag: str | None = None):
+    """A RunConfig field with its flag's help and the subcommands offering it (all if none).
+
+    The flag is ``--`` and the field name with ``-`` for ``_``, unless ``flag`` spells it.
+    """
+    kw = {"default_factory" if callable(default) else "default": default}
+    return field(**kw, metadata={"help": help, "commands": commands or COMMANDS, "flag": flag})
+
+
+def _scalar(annotation: str) -> type:
+    """The flag type of a RunConfig annotation: its item type for a list, None dropped."""
+    return _SCALARS[annotation.removesuffix(" | None").removeprefix("list[").removesuffix("]")]
+
 
 @dataclass
 class RunConfig:
-    """Effective settings for one run; defaults mirror the reference protocol."""
+    """Effective settings for one run, each with its flag; defaults mirror the reference protocol."""
 
-    input: str | None = None
-    format: str = "csv"
-    out: str = "clustersweep-run"
-    k_min: int = 1
-    k_max: int = 20
-    seed: int = 0
-    max_iter: int = 2000
-    tol: float = 1e-3
-    reg_covar: float = 1e-6
-    n_init: int = 1
-    init_method: str = "kmeans"
-    jobs: int = 1
-    # stability protocols
-    fraction: float = 0.8
-    repetitions: int = 100
-    seed_lo: int = 1
-    seed_hi: int = 100
-    master_seed: int = 0
-    kinds: list[str] = field(default_factory=lambda: ["dimensions", "rows", "seeds"])
-    fit_reference: bool = False
-    # sankey
-    threshold: str = "150"
-    names: str | None = None
-    # naming
-    texts: str | None = None
-    backend_url: str | None = None
-    backend_model: str | None = None
-    response_path: str = "name"
-    token_env: str = "CLUSTERSWEEP_API_TOKEN"
-    fallback: bool = False
-    fallback_on_error: bool = False
-    stopwords: str | None = None
-    emoji_map: str | None = None
+    input: str | None = _setting(None, "embedding file")
+    format: str = _setting("csv", "embedding file format: csv or bin")
+    out: str = _setting("clustersweep-run", "run archive directory")
+    k_min: int = _setting(1, "lowest cluster count")
+    k_max: int = _setting(20, "highest cluster count")
+    seed: int = _setting(0, "base RNG seed for fits")
+    max_iter: int = _setting(2000, "EM iteration cap")
+    tol: float = _setting(1e-3, "EM convergence threshold")
+    reg_covar: float = _setting(1e-6, "variance floor")
+    n_init: int = _setting(1, "initializations per fit")
+    init_method: str = _setting("kmeans", "fit initialization: kmeans or random-responsibility")
+    jobs: int = _setting(1, "worker threads for independent fits")
+    fraction: float = _setting(0.8, "subsample fraction", "stability")
+    repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
+    seed_lo: int = _setting(1, "first comparison seed", "stability")
+    seed_hi: int = _setting(100, "last comparison seed", "stability")
+    master_seed: int = _setting(0, "subsample draw seed", "stability")
+    kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
+    fit_reference: bool = _setting(False, "fit references if there is no archive", "stability")
+    threshold: str = _setting("150", "minimum edge flow: int, fraction, or 'x%%'", "sankey")
+    names: str | None = _setting(None, "name table CSV for node labels", "sankey")
+    texts: str | None = _setting(None, "CSV of id,text rows aligned with the input", "name")
+    backend_url: str | None = _setting(None, "naming service endpoint", "name")
+    backend_model: str | None = _setting(None, "model identifier", "name")
+    response_path: str = _setting("name", "dot path to the text field in responses", "name")
+    token_env: str = _setting("CLUSTERSWEEP_API_TOKEN", "env var holding the auth token", "name")
+    fallback: bool = _setting(False, "use the deterministic offline naming rule", "name")
+    fallback_on_error: bool = _setting(False, "fall back per cluster if the backend fails", "name")
+    stopwords: str | None = _setting(None, "stopword list file (one word per line)", "name")
+    emoji_map: str | None = _setting(None, "JSON emoji-to-name map", "name")
     # Names set by the config file or a flag; not a field, so never archived.
     explicit: ClassVar[frozenset[str]] = frozenset()
 
     def validate(self) -> None:
+        """Check what building ``base`` (GmmConfig) and ``specs`` (PerturbationSpec) does not."""
         if self.format not in ("csv", "bin"):
             raise ValueError(f"format must be csv or bin, got {self.format!r}")
-        if self.k_min < 1:
-            raise ValueError("k-min must be >= 1")
         if self.k_max < self.k_min:
             raise ValueError(f"k-max ({self.k_max}) < k-min ({self.k_min})")
-        if not (0.0 < self.fraction <= 1.0):
-            raise ValueError("fraction must lie in (0, 1]")
-        if self.repetitions < 1:
-            raise ValueError("reps must be >= 1")
-        if self.seed_hi < self.seed_lo:
-            raise ValueError("empty seed range")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         unknown = [k for k in self.kinds if k not in KIND_TOKENS]
         if unknown:
             raise ValueError(f"unknown stability kinds: {unknown}")
 
-    def gmm_config(self) -> GmmConfig:
+    @cached_property
+    def base(self) -> GmmConfig:
+        """The fit settings at k_min."""
         return GmmConfig(k=self.k_min, **{name: getattr(self, name) for name in FIT_SETTINGS})
+
+    @cached_property
+    def specs(self) -> list[stability.PerturbationSpec]:
+        """One protocol spec per entry of ``kinds``."""
+        kw = dict(fraction=self.fraction, repetitions=self.repetitions,
+                  seed_range=(self.seed_lo, self.seed_hi), master_seed=self.master_seed)
+        return [stability.PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value has the type of a RunConfig annotation."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
+    if value is None:
+        return annotation.endswith(" | None")
+    want = _scalar(annotation)
+    json_types = (int, float) if want is float else want
+    return isinstance(value, bool) == (want is bool) and isinstance(value, json_types)
 
 
 def parse_threshold(text: str, n: int) -> int:
@@ -124,7 +163,7 @@ def parse_threshold(text: str, n: int) -> int:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, then the config file, then explicit flags."""
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
     given = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -134,15 +173,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid config JSON: {exc}")
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - set(types)
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            if not _fits(value, types[key]):
+                raise ValueError(f"{path}: config key {key!r} must be {types[key]}, got {value!r}")
         given.update(doc)
-    flags = {name: getattr(args, name, None) for name in known}
-    given.update({name: value for name, value in flags.items() if value is not None})
+    given.update({n: getattr(args, n) for n in types if getattr(args, n, None) is not None})
     config = RunConfig(**given)
     config.explicit = frozenset(given)
     config.validate()
+    config.base, config.specs  # building them checks the fit and protocol settings
     return config
 
 
@@ -165,11 +209,9 @@ def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> 
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    """Fit every K and archive the partitions and models."""
     data = _load_input(config)
-    if data.n < config.k_max:
-        raise ValueError(f"input has {data.n} rows; k-max {config.k_max} needs at least that many")
-    base = config.gmm_config()
-    result = pipeline.run_sweep(data, base, config.k_min, config.k_max, jobs=config.jobs)
+    result = pipeline.run_sweep(data, config.base, config.k_min, config.k_max, jobs=config.jobs)
     pipeline.write_archive(result, config.out, run_config=asdict(config))
 
     print(f"{'K':>3} {'occupied':>8} {'iters':>6} {'conv':>5} "
@@ -190,10 +232,15 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_stability(config: RunConfig) -> int:
+    """Run the perturbation protocols against the archived or freshly fitted partitions."""
     out = Path(config.out)
-    references = None
-    if (out / f"partition_{config.k_min}.csv").exists():
+    references, base = None, config.base
+    try:
         archive = pipeline.read_archive(out)
+    except MissingArchive as exc:
+        if not config.fit_reference:
+            raise MissingArchive(f"{exc} or pass --fit-reference") from None
+    else:
         if archive.k_min > config.k_min or archive.k_max < config.k_max:
             raise ValueError(
                 f"archive covers K {archive.k_min}..{archive.k_max}, "
@@ -205,25 +252,12 @@ def cmd_stability(config: RunConfig) -> int:
             archived = json.loads((out / "config.json").read_text(encoding="utf-8"))
             config.input = archived.get("input")
             config.format = archived.get("format", config.format)
-    elif config.fit_reference:
-        base = config.gmm_config()
-    else:
-        raise FileNotFoundError(
-            f"no sweep archive in {out}; run the sweep first or pass --fit-reference"
-        )
     data = _load_input(config)
     out.mkdir(parents=True, exist_ok=True)
     k_range = (config.k_min, config.k_max)
 
     curves = []
-    for token in config.kinds:
-        spec = stability.PerturbationSpec(
-            kind=KIND_TOKENS[token],
-            fraction=config.fraction,
-            repetitions=config.repetitions,
-            seed_range=(config.seed_lo, config.seed_hi),
-            master_seed=config.master_seed,
-        )
+    for token, spec in zip(config.kinds, config.specs):
         curve = stability.run_protocol(
             data, base, k_range, spec, references=references, jobs=config.jobs
         )
@@ -238,9 +272,8 @@ def cmd_stability(config: RunConfig) -> int:
 
 
 def cmd_sankey(config: RunConfig) -> int:
+    """Export the transition graph of the archive as JSON and HTML."""
     out = Path(config.out)
-    if not (out / f"partition_{config.k_min}.csv").exists():
-        raise FileNotFoundError(f"no sweep archive in {out}; run the sweep first")
     archive = pipeline.read_archive(out)
     n = archive.partitions[archive.k_min].n_items
     threshold = parse_threshold(config.threshold, n)
@@ -266,12 +299,11 @@ def _load_texts(path: str | Path) -> dict[str, str]:
 
 
 def cmd_name(config: RunConfig) -> int:
+    """Name every occupied cluster of the archive."""
     out = Path(config.out)
-    if not (out / f"partition_{config.k_min}.csv").exists():
-        raise FileNotFoundError(f"no sweep archive in {out}; run the sweep first")
+    archive = pipeline.read_archive(out)
     if not config.texts:
         raise ValueError("naming needs --texts (CSV with id,text columns)")
-    archive = pipeline.read_archive(out)
     sample_seed = _archived_fit_settings(config, archive).seed
     texts_by_id = _load_texts(config.texts)
 
@@ -324,88 +356,29 @@ def build_parser() -> argparse.ArgumentParser:
         "and export the cluster transition graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, func in zip(COMMANDS, (cmd_sweep, cmd_stability, cmd_sankey, cmd_name)):
+        p = sub.add_parser(command, help=func.__doc__)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--input", help="embedding file")
-        p.add_argument("--format", choices=["csv", "bin"], help="embedding file format")
-        p.add_argument("--out", help="run archive directory")
-        p.add_argument("--k-min", dest="k_min", type=int, help="lowest cluster count")
-        p.add_argument("--k-max", dest="k_max", type=int, help="highest cluster count")
-        p.add_argument("--seed", type=int, help="base RNG seed for fits")
-        p.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
-        p.add_argument("--tol", type=float, help="EM convergence threshold")
-        p.add_argument("--reg-covar", dest="reg_covar", type=float, help="variance floor")
-        p.add_argument("--n-init", dest="n_init", type=int, help="initializations per fit")
-        p.add_argument("--jobs", type=int, help="worker threads for independent fits")
-
-    p_sweep = sub.add_parser("sweep", help="fit every K and archive partitions/models")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_stab = sub.add_parser("stability", help="run the perturbation protocols")
-    add_common(p_stab)
-    p_stab.add_argument(
-        "--kinds", nargs="+", choices=sorted(KIND_TOKENS), help="protocols to run"
-    )
-    p_stab.add_argument("--fraction", type=float, help="subsample fraction")
-    p_stab.add_argument("--reps", dest="repetitions", type=int, help="subsample repetitions")
-    p_stab.add_argument("--seed-lo", dest="seed_lo", type=int, help="first comparison seed")
-    p_stab.add_argument("--seed-hi", dest="seed_hi", type=int, help="last comparison seed")
-    p_stab.add_argument("--master-seed", dest="master_seed", type=int, help="subsample draw seed")
-    p_stab.add_argument(
-        "--fit-reference", dest="fit_reference", action="store_true", default=None,
-        help="fit reference partitions instead of requiring an archive",
-    )
-    p_stab.set_defaults(func=cmd_stability)
-
-    p_sankey = sub.add_parser("sankey", help="export the transition graph (JSON + HTML)")
-    add_common(p_sankey)
-    p_sankey.add_argument("--threshold", help="minimum edge flow: int, fraction, or 'x%%'")
-    p_sankey.add_argument("--names", help="name table CSV for node labels")
-    p_sankey.set_defaults(func=cmd_sankey)
-
-    p_name = sub.add_parser("name", help="generate cluster names for an archive")
-    add_common(p_name)
-    p_name.add_argument("--texts", help="CSV of id,text rows aligned with the input")
-    p_name.add_argument("--backend-url", dest="backend_url", help="naming service endpoint")
-    p_name.add_argument("--backend-model", dest="backend_model", help="model identifier")
-    p_name.add_argument(
-        "--response-path", dest="response_path", help="dot path to the text field in responses"
-    )
-    p_name.add_argument("--token-env", dest="token_env", help="env var holding the auth token")
-    p_name.add_argument(
-        "--fallback", action="store_true", default=None,
-        help="use the deterministic offline naming rule",
-    )
-    p_name.add_argument(
-        "--fallback-on-error", dest="fallback_on_error", action="store_true", default=None,
-        help="fall back per cluster when the backend is unavailable",
-    )
-    p_name.add_argument("--stopwords", help="stopword list file (one word per line)")
-    p_name.add_argument("--emoji-map", dest="emoji_map", help="JSON emoji-to-name map")
-    p_name.set_defaults(func=cmd_name)
-
+        for f in fields(RunConfig):
+            if command not in f.metadata["commands"]:
+                continue
+            kind = _scalar(f.type)
+            kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
+            if f.type.startswith("list["):
+                kwargs.update(nargs="+", choices=list(KIND_TOKENS))
+            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, default=None, help=f.metadata["help"], **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        return args.func(config)
-    except BackendUnavailable as exc:
+        return args.func(resolve_config(args))
+    except (ValueError, OSError, ClusterSweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, InsufficientData) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ClusterSweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for types, code in EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ class ParseError(ClusterSweepError):
     """An input file could not be parsed."""
 
 
+class MissingArchive(ParseError):
+    """A directory holds no sweep archive (no partition files)."""
+
+
 class NonFiniteValue(ClusterSweepError):
     """An embedding entry is NaN or infinite."""
 

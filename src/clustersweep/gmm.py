@@ -359,7 +359,8 @@ def _json_render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # json.loads reads NaN, Infinity and -Infinity back.
+        return format(float(obj), ".17g") if math.isfinite(obj) else json.dumps(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):

@@ -22,7 +22,7 @@ from .data import (
     load_partition,
     save_partition,
 )
-from .errors import ClusterSweepError, NumericFailure, OutOfRange, ParseError
+from .errors import ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError
 from .gmm import GmmConfig, MixtureModel
 from .metrics import AmiReport, StabilityBreakdown, ami_from_table, stability_from_table
 
@@ -165,7 +165,8 @@ def write_archive(
 def read_archive(path: str | Path) -> SweepResult:
     """Load a sweep archive back; consecutive metrics are recomputed exactly.
 
-    Every K needs a model_K.json; their fit settings must agree.
+    The K range is the archive's own. Every K needs a model_K.json; their fit
+    settings must agree. Raises MissingArchive if there are no partition files.
     """
     root = Path(path)
     ks = sorted(
@@ -174,7 +175,7 @@ def read_archive(path: str | Path) -> SweepResult:
         if (m := re.fullmatch(r"partition_(\d+)\.csv", p.name))
     )
     if not ks:
-        raise ParseError(f"{root}: no partition_K.csv files found")
+        raise MissingArchive(f"no sweep archive in {root}; run the sweep first")
     if ks != list(range(ks[0], ks[-1] + 1)):
         raise ParseError(f"{root}: partition files do not form a contiguous K range: {ks}")
     partitions = {k: load_partition(root / f"partition_{k}.csv", k_declared=k) for k in ks}

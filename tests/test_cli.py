@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from clustersweep.cli import main, parse_threshold, resolve_config, build_parser
+from clustersweep.cli import RunConfig, build_parser, main, parse_threshold, resolve_config
 from clustersweep.data import load_embeddings, load_partition, save_embeddings
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
@@ -98,6 +100,78 @@ class TestConfigResolution:
         args = build_parser().parse_args(["sweep", "--config", str(tmp_path / "run.json")])
         with pytest.raises(ValueError):
             resolve_config(args)
+
+    @pytest.mark.parametrize("doc, named", [
+        (["seed"], ["run.json", "JSON object"]),
+        ("ab", ["run.json", "JSON object"]),
+        (3, ["run.json", "JSON object"]),
+        ({"k_max": "7"}, ["run.json", "'k_max'", "int"]),
+        ({"fit_reference": "no"}, ["run.json", "'fit_reference'", "bool"]),
+    ])
+    def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(tmp_path / "run.json")]) == 1
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+
+
+# Each subcommand's flags before --init-method was added; --help is argparse's own.
+COMMON_FLAGS = {
+    "--help", "--config", "--input", "--format", "--out", "--k-min", "--k-max", "--seed",
+    "--max-iter", "--tol", "--reg-covar", "--n-init", "--jobs",
+}
+OWN_FLAGS = {
+    "sweep": set(),
+    "stability": {
+        "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi", "--master-seed",
+        "--fit-reference",
+    },
+    "sankey": {"--threshold", "--names"},
+    "name": {
+        "--texts", "--backend-url", "--backend-model", "--response-path", "--token-env",
+        "--fallback", "--fallback-on-error", "--stopwords", "--emoji-map",
+    },
+}
+# The stage arguments the benchmark harness passes, as it spells them.
+BENCH_COMMON = ["--out", "arch", "--k-min", "1", "--k-max", "20"]
+BENCH_STAGES = [
+    ["sweep", "--input", "emb.bin", "--format", "bin", "--seed", "0", "--jobs", "2",
+     *BENCH_COMMON],
+    ["stability", "--kinds", "dimensions", "rows", "seeds", "--reps", "1", "--seed-lo", "0",
+     "--seed-hi", "1", "--jobs", "2", *BENCH_COMMON],
+    ["sankey", "--threshold", "0.5%", *BENCH_COMMON],
+    ["name", "--texts", "texts.csv", "--fallback", *BENCH_COMMON],
+]
+
+
+class TestParser:
+    def test_every_field_parses_from_its_flag(self):
+        parser = build_parser()
+        samples = {
+            "int": (["3"], 3), "float": (["0.5"], 0.5), "str": (["x"], "x"),
+            "str | None": (["x"], "x"), "bool": ([], True),
+            "list[str]": (["rows", "seeds"], ["rows", "seeds"]),
+        }
+        for f in fields(RunConfig):
+            flag = "--reps" if f.name == "repetitions" else "--" + f.name.replace("_", "-")
+            values, expected = samples[f.type]
+            assert f.metadata["commands"], f.name
+            for command in f.metadata["commands"]:
+                args = parser.parse_args([command, flag, *values])
+                assert getattr(args, f.name) == expected, (command, flag)
+
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_help_lists_the_same_flags_plus_init_method(self, capsys, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == COMMON_FLAGS | OWN_FLAGS[command] | {"--init-method"}
+
+    @pytest.mark.parametrize("argv", BENCH_STAGES, ids=lambda argv: argv[0])
+    def test_benchmark_stage_arguments_parse(self, argv):
+        config = resolve_config(build_parser().parse_args(argv))
+        assert (config.out, config.k_min, config.k_max) == ("arch", 1, 20)
+        assert config.explicit >= {"out", "k_min", "k_max"}
 
 
 class TestSweepCommand:
@@ -256,6 +330,40 @@ class TestStabilityCommand:
             "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
         ])
         assert code == 0
+
+
+class TestArchiveRange:
+    """Stages take the K range from the archive, not from --k-min."""
+
+    @pytest.fixture()
+    def archive(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main([
+            "sweep", "--input", str(fixture_dir / "emb.csv"), "--out", str(out),
+            "--k-min", "2", "--k-max", "5", *LOOSE,
+        ]) == 0
+        return out
+
+    def test_sankey_reads_the_archive_range(self, archive):
+        assert main(["sankey", "--out", str(archive)]) == 0
+        nodes = json.loads((archive / "graph.json").read_text())["nodes"]
+        assert {n["id"].split("-")[0] for n in nodes} == {"K2", "K3", "K4", "K5"}
+
+    def test_name_reads_the_archive_range(self, fixture_dir, archive):
+        texts = ["--texts", str(fixture_dir / "texts.csv"), "--fallback"]
+        assert main(["name", "--out", str(archive), *texts]) == 0
+        rows = (archive / "names.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"2", "3", "4", "5"}
+
+    def test_fit_reference_does_not_bypass_the_archive(self, fixture_dir, archive, capsys):
+        code = main([
+            "stability", "--out", str(archive), "--input", str(fixture_dir / "emb.csv"),
+            "--fit-reference", "--k-max", "5", "--kinds", "seeds", "--seed-lo", "7",
+            "--seed-hi", "7",
+        ])
+        assert code == 1
+        assert "K 2..5" in capsys.readouterr().err
+        assert not (archive / "stability_seeds.csv").exists()
 
 
 class TestSankeyCommand:

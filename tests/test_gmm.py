@@ -312,3 +312,13 @@ class TestModelSerialization:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="m.json"):
             load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_likelihood_round_trips(self, tmp_path, value):
+        # A default MixtureModel has final_log_likelihood=nan.
+        model = MixtureModel(
+            k=1, weights=[1.0], means=[[0.5]], variances=[[2.0]], final_log_likelihood=value
+        )
+        save_model(model, GmmConfig(k=1), tmp_path / "m.json")
+        back, _ = load_model(tmp_path / "m.json")
+        assert repr(back.final_log_likelihood) == repr(value)
