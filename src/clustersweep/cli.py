@@ -82,8 +82,6 @@ class RunConfig:
     max_iter: int = _setting(2000, "EM iteration cap")
     tol: float = _setting(1e-3, "EM convergence threshold")
     reg_covar: float = _setting(1e-6, "variance floor")
-    n_init: int = _setting(1, "initializations per fit")
-    init_method: str = _setting("kmeans", "fit initialization: kmeans or random-responsibility")
     jobs: int = _setting(1, "worker threads for independent fits")
     fraction: float = _setting(0.8, "subsample fraction", "stability")
     repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
@@ -373,7 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # a usage error, which argparse has printed; it would exit 2
     try:
         return args.func(resolve_config(args))
     except (ValueError, OSError, ClusterSweepError) as exc:

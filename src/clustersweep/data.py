@@ -35,15 +35,10 @@ def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Dense n x d matrix of document embeddings plus row identifiers.
-
-    ``dim_labels`` records which original column indices survive dimension
-    subsampling; it is None for a matrix in its original column order.
-    """
+    """Dense n x d matrix of document embeddings plus row identifiers."""
 
     ids: tuple[str, ...]
     values: np.ndarray
-    dim_labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         values = _readonly(self.values, dtype=np.float64)
@@ -61,11 +56,6 @@ class EmbeddingMatrix:
         if not np.isfinite(values).all():
             bad = np.argwhere(~np.isfinite(values))[0]
             raise NonFiniteValue(int(bad[0]), int(bad[1]))
-        if self.dim_labels is not None:
-            labels = tuple(int(x) for x in self.dim_labels)
-            if len(labels) != d or len(set(labels)) != d:
-                raise DimensionMismatch("dim_labels must be d unique values")
-            object.__setattr__(self, "dim_labels", labels)
 
     @property
     def n(self) -> int:
@@ -76,23 +66,14 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
     def subset_columns(self, columns: Sequence[int]) -> "EmbeddingMatrix":
-        """Restrict to the given columns, recording their original indices."""
+        """Restrict to the given columns, in the given order."""
         cols = [int(c) for c in columns]
-        base = self.dim_labels if self.dim_labels is not None else tuple(range(self.d))
-        return EmbeddingMatrix(
-            ids=self.ids,
-            values=self.values[:, cols],
-            dim_labels=tuple(base[c] for c in cols),
-        )
+        return EmbeddingMatrix(ids=self.ids, values=self.values[:, cols])
 
     def subset_rows(self, rows: Sequence[int]) -> "EmbeddingMatrix":
         """Restrict to the given rows, keeping their ids."""
         idx = [int(r) for r in rows]
-        return EmbeddingMatrix(
-            ids=tuple(self.ids[i] for i in idx),
-            values=self.values[idx, :],
-            dim_labels=self.dim_labels,
-        )
+        return EmbeddingMatrix(ids=tuple(self.ids[i] for i in idx), values=self.values[idx, :])
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ IterationHook = Callable[[int, float, np.ndarray], None]
 # JSON types per GmmConfig field type; save_model prints a whole float as an int.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
+# Fields older model files carry, with the one value this version fits with.
+_RETIRED = {"covariance": "diag", "n_init": 1, "init_method": "kmeans"}
+
 
 @dataclass(frozen=True)
 class GmmConfig:
@@ -42,22 +45,17 @@ class GmmConfig:
     tol: float = 1e-3
     reg_covar: float = 1e-6
     seed: int = 0
-    n_init: int = 1
-    init_method: str = "kmeans"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.reg_covar <= 0:
-            raise ValueError("reg_covar must be > 0")
-        if self.n_init < 1:
-            raise ValueError("n_init must be >= 1")
-        if self.init_method not in ("kmeans", "random-responsibility"):
-            raise ValueError(f"unknown init_method: {self.init_method!r}")
+        # Written so that NaN fails too.
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not 0 < self.reg_covar < math.inf:
+            raise ValueError(f"reg_covar must be finite and > 0, got {self.reg_covar!r}")
 
     def with_k(self, k: int) -> "GmmConfig":
         return GmmConfig(**{**asdict(self), "k": k})
@@ -72,10 +70,17 @@ class GmmConfig:
     def from_dict(cls, d: dict) -> "GmmConfig":
         """Inverse of :meth:`to_dict` that checks each field's JSON type.
 
-        Accepts the ``"covariance": "diag"`` entry of older files. Raises
-        TypeError on a missing, unknown or ill-typed field.
+        Accepts the entries of retired fields that older files carry, at the
+        one value this version fits with. Raises TypeError on a missing,
+        unknown or ill-typed field, and on any other value of a retired one.
         """
-        d = {key: v for key, v in dict(d).items() if (key, v) != ("covariance", "diag")}
+        d = dict(d)
+        for key, only in _RETIRED.items():
+            if key in d:
+                value = d.pop(key)
+                if (type(value), value) != (type(only), only):
+                    raise TypeError(f"config field {key!r} is {value!r}; "
+                                    f"only a fit with {only!r} can be reproduced")
         for f in fields(cls):
             value = d.get(f.name)
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
@@ -261,15 +266,11 @@ def _lloyd_labels(X: np.ndarray, centers: np.ndarray, max_rounds: int = 10) -> n
 def _initialize(
     X: np.ndarray, config: GmmConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ seeding plus Lloyd rounds, turned into a first M step."""
     n = X.shape[0]
-    if config.init_method == "kmeans":
-        centers = _kmeans_plus_plus(X, config.k, rng)
-        labels = _lloyd_labels(X, centers)
-        resp = np.zeros((n, config.k), dtype=np.float64)
-        resp[np.arange(n), labels] = 1.0
-    else:
-        resp = rng.random((n, config.k))
-        resp /= resp.sum(axis=1, keepdims=True)
+    labels = _lloyd_labels(X, _kmeans_plus_plus(X, config.k, rng))
+    resp = np.zeros((n, config.k), dtype=np.float64)
+    resp[np.arange(n), labels] = 1.0
     return _m_step_core(resp, X, config.reg_covar)
 
 
@@ -282,12 +283,11 @@ def fit(
 
     Alternates E and M steps until the mean per-item log-likelihood changes
     by less than ``tol`` or ``max_iter`` is hit. Items are assigned to their
-    argmax-responsibility component, ties going to the lowest index. With
-    ``n_init > 1``, the run with the highest final log-likelihood wins.
+    argmax-responsibility component, ties going to the lowest index.
 
     ``iteration_hook(iteration, total_log_likelihood, responsibilities)`` is
-    called at every E-step evaluation of every initialization run, including
-    the final one after the last M step.
+    called at every E-step evaluation, including the final one after the
+    last M step.
 
     Raises:
         InsufficientData: if data.n < config.k.
@@ -297,44 +297,37 @@ def fit(
     if n < config.k:
         raise InsufficientData(f"n={n} rows cannot support k={config.k} components")
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_init)
-    best: tuple[MixtureModel, np.ndarray] | None = None
-    for init_idx in range(config.n_init):
-        rng = np.random.default_rng(seeds[init_idx])
-        weights, means, variances = _initialize(X, config, rng)
-        mean_ll = -np.inf
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, config.max_iter + 1):
-            prev_mean_ll = mean_ll
-            log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X)
-            if iteration_hook is not None:
-                iteration_hook(n_iter, float(log_norm.sum()), np.exp(log_resp))
-            weights, means, variances = _m_step_core(
-                np.exp(log_resp), X, config.reg_covar
-            )
-            mean_ll = float(log_norm.mean())
-            if abs(mean_ll - prev_mean_ll) < config.tol:
-                converged = True
-                break
+    # The first child of the seed, as older versions drew one child per
+    # initialization: default_rng(seed) itself would change every partition.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    weights, means, variances = _initialize(X, config, rng)
+    mean_ll = -np.inf
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, config.max_iter + 1):
+        prev_mean_ll = mean_ll
         log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X)
         if iteration_hook is not None:
-            iteration_hook(n_iter + 1, float(log_norm.sum()), np.exp(log_resp))
-        model = MixtureModel(
-            k=config.k,
-            weights=weights,
-            means=means,
-            variances=variances,
-            converged=converged,
-            n_iter=n_iter,
-            final_log_likelihood=float(log_norm.sum()),
-        )
-        if best is None or model.final_log_likelihood > best[0].final_log_likelihood:
-            best = (model, np.argmax(log_resp, axis=1))
-
-    model, labels = best
-    partition = Partition(n_items=n, k_declared=config.k, labels=labels, ids=data.ids)
-    return model, partition
+            iteration_hook(n_iter, float(log_norm.sum()), np.exp(log_resp))
+        weights, means, variances = _m_step_core(np.exp(log_resp), X, config.reg_covar)
+        mean_ll = float(log_norm.mean())
+        if abs(mean_ll - prev_mean_ll) < config.tol:
+            converged = True
+            break
+    log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X)
+    if iteration_hook is not None:
+        iteration_hook(n_iter + 1, float(log_norm.sum()), np.exp(log_resp))
+    model = MixtureModel(
+        k=config.k,
+        weights=weights,
+        means=means,
+        variances=variances,
+        converged=converged,
+        n_iter=n_iter,
+        final_log_likelihood=float(log_norm.sum()),
+    )
+    labels = np.argmax(log_resp, axis=1)
+    return model, Partition(n_items=n, k_declared=config.k, labels=labels, ids=data.ids)
 
 
 def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:

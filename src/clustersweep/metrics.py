@@ -187,26 +187,21 @@ def ami(a: Partition, b: Partition) -> AmiReport:
     return ami_from_table(build_contingency(a, b))
 
 
-def proportional_stability(
-    current: Partition, previous: Partition, item_weighted: bool = False
-) -> StabilityBreakdown:
+def proportional_stability(current: Partition, previous: Partition) -> StabilityBreakdown:
     """Fraction of each current cluster inherited from its largest previous cluster.
 
     For every occupied cluster of ``current``, the ratio is its biggest
     overlap with any single cluster of ``previous`` divided by its size. The
-    average is unweighted over occupied clusters; ``item_weighted=True``
-    weights each cluster by its size instead. Ties in the largest overlap
+    average is unweighted over occupied clusters. Ties in the largest overlap
     report the lowest-index parent. Not symmetric in its arguments.
 
     Raises:
         MismatchedItems: if the partitions cover different id sets.
     """
-    return stability_from_table(build_contingency(current, previous), item_weighted)
+    return stability_from_table(build_contingency(current, previous))
 
 
-def stability_from_table(
-    t: ContingencyTable, item_weighted: bool = False
-) -> StabilityBreakdown:
+def stability_from_table(t: ContingencyTable) -> StabilityBreakdown:
     """Proportional stability from a current-vs-previous contingency table."""
     per_cluster = []
     for k in range(t.counts.shape[0]):
@@ -224,8 +219,5 @@ def stability_from_table(
                 ratio=overlap / size,
             )
         )
-    if item_weighted:
-        average = sum(c.overlap for c in per_cluster) / float(t.total)
-    else:
-        average = sum(c.ratio for c in per_cluster) / len(per_cluster)
+    average = sum(c.ratio for c in per_cluster) / len(per_cluster)
     return StabilityBreakdown(per_cluster=tuple(per_cluster), average=average)

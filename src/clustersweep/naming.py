@@ -31,6 +31,19 @@ logger = logging.getLogger(__name__)
 
 MAX_NAME_LENGTH = 120
 
+# A profile's top words and sampled member texts; the prompt quotes TOP_WORDS.
+TOP_WORDS = 10
+SAMPLE_TEXTS = 20
+
+# Concurrent requests to an external backend.
+MAX_IN_FLIGHT = 4
+
+# Each request's timeout, the attempts per name, and the first retry delay,
+# doubled on every further retry.
+TIMEOUT_S = 30.0
+RETRIES = 3
+BACKOFF_S = 1.0
+
 # Compact English stopword list; override with a file for other domains.
 DEFAULT_STOPWORDS = frozenset(
     """
@@ -87,14 +100,14 @@ def profile_cluster(
     seed: int,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     emoji_map: dict[str, str] | None = None,
-    top_n: int = 10,
-    sample_n: int = 20,
 ) -> ClusterProfile:
     """Count tokens over a cluster's texts and draw a seeded sample of them.
 
-    ``texts`` aligns index-for-index with ``membership.ids``. Top words are
-    ordered by descending count, ties lexicographically. The sample seed mixes
-    (seed, k, cluster) so different clusters draw independently.
+    Keeps the TOP_WORDS most frequent tokens and samples SAMPLE_TEXTS member
+    texts (all of them if there are fewer). ``texts`` aligns index-for-index
+    with ``membership.ids``. Top words are ordered by descending count, ties
+    lexicographically. The sample seed mixes (seed, k, cluster) so different
+    clusters draw independently.
 
     Raises:
         EmptyCluster: if the cluster has no members.
@@ -108,14 +121,14 @@ def profile_cluster(
     counts: Counter[str] = Counter()
     for i in members:
         counts.update(tokenize(texts[i], stopwords, emoji_map))
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_WORDS]
 
     member_texts = [texts[i] for i in members]
-    if len(member_texts) <= sample_n:
+    if len(member_texts) <= SAMPLE_TEXTS:
         sample = member_texts
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, k, cluster)))
-        chosen = np.sort(rng.choice(len(member_texts), size=sample_n, replace=False))
+        chosen = np.sort(rng.choice(len(member_texts), size=SAMPLE_TEXTS, replace=False))
         sample = [member_texts[i] for i in chosen]
     return ClusterProfile(
         k=k, cluster=cluster, top_words=tuple(top), sample_texts=tuple(sample)
@@ -126,7 +139,7 @@ def build_prompt(profile: ClusterProfile) -> str:
     """Byte-stable naming prompt for one cluster profile."""
     lines = [
         "Create a name for the following cluster of Twitter bios. "
-        "It has the following top 10 most frequent words:",
+        f"It has the following top {TOP_WORDS} most frequent words:",
         ", ".join(word for word, _ in profile.top_words),
         "And this is a random sample of Twitter bios from the cluster:",
     ]
@@ -164,17 +177,11 @@ class HttpBackend:
         model: str | None = None,
         response_path: str = "name",
         token_env: str = "CLUSTERSWEEP_API_TOKEN",
-        timeout: float = 30.0,
-        retries: int = 3,
-        backoff: float = 1.0,
     ):
         self.url = url
         self.model = model
         self.response_path = response_path
         self.token_env = token_env
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
 
     def _headers(self) -> dict[str, str]:
         import os
@@ -203,10 +210,10 @@ class HttpBackend:
         if self.model:
             payload["model"] = self.model
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 resp = requests.post(
-                    self.url, json=payload, headers=self._headers(), timeout=self.timeout
+                    self.url, json=payload, headers=self._headers(), timeout=TIMEOUT_S
                 )
                 if resp.status_code >= 500:
                     raise requests.RequestException(f"server error {resp.status_code}")
@@ -217,9 +224,9 @@ class HttpBackend:
                 return self._extract(resp.json())
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * 2**attempt)
-        raise BackendUnavailable(f"backend unreachable after {self.retries} attempts: {last_error}")
+                if attempt + 1 < RETRIES:
+                    time.sleep(BACKOFF_S * 2**attempt)
+        raise BackendUnavailable(f"backend unreachable after {RETRIES} attempts: {last_error}")
 
 
 def sanitize_name(raw: str) -> str:
@@ -231,7 +238,6 @@ def sanitize_name(raw: str) -> str:
 def name_clusters(
     profiles: list[ClusterProfile],
     backend,
-    max_in_flight: int = 4,
     fallback_on_error: bool = False,
 ) -> list[NameAssignment]:
     """Name every profile, then disambiguate duplicates within the batch.
@@ -272,7 +278,7 @@ def name_clusters(
         return raw, backend.kind
 
     if getattr(backend, "kind", None) == "external" and len(profiles) > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
             named = list(pool.map(one, profiles))
     else:
         named = [one(p) for p in profiles]

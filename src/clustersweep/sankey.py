@@ -234,8 +234,8 @@ def stability_color(stability: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float]:
-    """Node rectangles plus the shared items-to-pixels scale."""
+def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float, dict[int, float]]:
+    """Node rectangles, the shared items-to-pixels scale and each column's x by K."""
     columns = {k: [n for n in g.nodes if n.k == k] for k in range(g.k_min, g.k_max + 1)}
     total = sum(n.size for n in columns[g.k_min])
     drawable = CANVAS_H - 2 * MARGIN_TOP
@@ -245,11 +245,14 @@ def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float]:
         pad = 0.5 * drawable / (max_count - 1)
     px = (drawable - (max_count - 1) * pad) / total
 
-    n_cols = g.k_max - g.k_min + 1
+    n_cols = len(columns)
     inner = CANVAS_W - MARGIN_LEFT - MARGIN_RIGHT - NODE_W
+    xs = {
+        k: MARGIN_LEFT + (inner * col / (n_cols - 1) if n_cols > 1 else 0.0)
+        for col, k in enumerate(columns)
+    }
     boxes: dict[str, dict] = {}
-    for col, k in enumerate(range(g.k_min, g.k_max + 1)):
-        x = MARGIN_LEFT + (inner * col / (n_cols - 1) if n_cols > 1 else 0.0)
+    for k, x in xs.items():
         col_nodes = columns[k]
         col_height = sum(n.size for n in col_nodes) * px + (len(col_nodes) - 1) * pad
         y = MARGIN_TOP + (drawable - col_height) / 2.0
@@ -257,12 +260,12 @@ def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float]:
             h = n.size * px
             boxes[n.id] = {"node": n, "x": x, "y": y, "h": h}
             y += h + pad
-    return boxes, px
+    return boxes, px, xs
 
 
 def render_svg(g: SankeyGraph) -> str:
     """Static SVG: stacked node rectangles per resolution, ribbons sized by flow."""
-    boxes, px = _layout(g)
+    boxes, px, xs = _layout(g)
     # No xmlns attribute: the SVG is inlined into HTML, where the parser
     # namespaces it implicitly, and the document must carry no URLs at all.
     parts = [
@@ -319,12 +322,9 @@ def render_svg(g: SankeyGraph) -> str:
             f"{html.escape(n.label)}</text>"
         )
 
-    for col, k in enumerate(range(g.k_min, g.k_max + 1)):
-        n_cols = g.k_max - g.k_min + 1
-        inner = CANVAS_W - MARGIN_LEFT - MARGIN_RIGHT - NODE_W
-        x = MARGIN_LEFT + (inner * col / (n_cols - 1) if n_cols > 1 else 0.0) + NODE_W / 2.0
+    for k, x in xs.items():
         parts.append(
-            f'<text x="{x:.2f}" y="{MARGIN_TOP - 12}" text-anchor="middle" '
+            f'<text x="{x + NODE_W / 2.0:.2f}" y="{MARGIN_TOP - 12}" text-anchor="middle" '
             f'font-size="12" font-weight="bold">K={k}</text>'
         )
 

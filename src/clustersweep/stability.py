@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, intersect_partitions
-from .gmm import GmmConfig, MixtureModel
+from .gmm import GmmConfig
 from .metrics import ami
 
 KINDS = ("dimension_subsample", "row_subsample", "seed_variation")
@@ -74,12 +74,12 @@ def _run(
     jobs: int,
     reps: Iterable[int],
     perturb: Callable[[int], tuple[EmbeddingMatrix, GmmConfig]],
-    compare: Callable[[MixtureModel, Partition, Partition], float] | None = None,
+    compare: Callable[[Partition, Partition], float] | None = None,
 ) -> StabilityCurve:
     """The protocol of every kind: perturb, refit every K, score against the reference.
 
     ``perturb(r)`` gives the data and fit settings for each r in ``reps``.
-    ``compare(model, partition, reference)`` scores a refit, by default the
+    ``compare(partition, reference)`` scores a refit, by default the
     AMI of the two partitions. K=1 scores 1.0 by convention, unfitted.
     """
     if spec.kind != kind:
@@ -97,8 +97,8 @@ def _run(
             if k == 1:
                 row.append(1.0)
                 continue
-            model, part = gmm.fit(sub, config.with_k(k))
-            row.append(compare(model, part, refs[k]) if compare else ami(part, refs[k]).ami)
+            _, part = gmm.fit(sub, config.with_k(k))
+            row.append(compare(part, refs[k]) if compare else ami(part, refs[k]).ami)
         return row
 
     per_rep = np.asarray(gmm._map_ordered(one_rep, reps, jobs), dtype=np.float64)
@@ -148,28 +148,19 @@ def row_stability(
     spec: PerturbationSpec,
     references: dict[int, Partition] | None = None,
     jobs: int = 1,
-    use_predict: bool = False,
 ) -> StabilityCurve:
     """AMI of fits on random row subsets against the full-data fits.
 
     The subsample partition is compared with the reference restricted to the
-    sampled ids, so both sides cover the same items. ``use_predict=True``
-    instead assigns every row with the subsample-fitted model and compares
-    full partitions.
+    sampled ids, so both sides cover the same items.
     """
     n_rows = int(spec.fraction * data.n)
     if n_rows < k_range[1]:
         raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={k_range[1]}")
-
-    def compare(model: MixtureModel, part: Partition, ref: Partition) -> float:
-        if use_predict:
-            return ami(gmm.predict(model, data), ref).ami
-        return ami(*intersect_partitions(part, ref)).ami
-
     return _run(
         "row_subsample", data, base, k_range, spec, references, jobs, range(spec.repetitions),
         lambda r: (data.subset_rows(_subsample(spec, r, data.n, n_rows)), base),
-        compare,
+        lambda part, ref: ami(*intersect_partitions(part, ref)).ami,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -107,6 +108,9 @@ class TestConfigResolution:
         (3, ["run.json", "JSON object"]),
         ({"k_max": "7"}, ["run.json", "'k_max'", "int"]),
         ({"fit_reference": "no"}, ["run.json", "'fit_reference'", "bool"]),
+        ({"tol": math.nan}, ["tol", "finite"]),
+        ({"reg_covar": math.inf}, ["reg_covar", "finite"]),
+        ({"fraction": math.nan}, ["fraction"]),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
         (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -115,10 +119,10 @@ class TestConfigResolution:
         assert all(word in err for word in named), err
 
 
-# Each subcommand's flags before --init-method was added; --help is argparse's own.
+# Each subcommand's flags; --help is argparse's own.
 COMMON_FLAGS = {
     "--help", "--config", "--input", "--format", "--out", "--k-min", "--k-max", "--seed",
-    "--max-iter", "--tol", "--reg-covar", "--n-init", "--jobs",
+    "--max-iter", "--tol", "--reg-covar", "--jobs",
 }
 OWN_FLAGS = {
     "sweep": set(),
@@ -161,11 +165,21 @@ class TestParser:
                 assert getattr(args, f.name) == expected, (command, flag)
 
     @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
-    def test_help_lists_the_same_flags_plus_init_method(self, capsys, command):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--help"])
+    def test_help_lists_the_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-        assert listed == COMMON_FLAGS | OWN_FLAGS[command] | {"--init-method"}
+        assert listed == COMMON_FLAGS | OWN_FLAGS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k-max", "x"],
+        ["stability", "--kinds", "columns"],
+        ["sweep", "--n-init", "3"],
+    ], ids=["bad-int", "unknown-kind", "removed-flag"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", BENCH_STAGES, ids=lambda argv: argv[0])
     def test_benchmark_stage_arguments_parse(self, argv):
@@ -423,6 +437,22 @@ class TestSankeyCommand:
         (out / "model_3.json").unlink()
         assert main(["sankey", "--out", str(out)]) == 2
         assert "model_3.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, loads", [
+        ({"n_init": 1, "init_method": "kmeans"}, True),
+        ({"n_init": 5}, False),
+        ({"init_method": "random-responsibility"}, False),
+    ])
+    def test_archive_with_retired_fit_settings(self, fixture_dir, tmp_path, capsys, entry, loads):
+        """An older archive reads unless its fits used an initialization this version lacks."""
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        path = out / "model_3.json"
+        doc = json.loads(path.read_text())
+        doc["config"].update(entry)
+        path.write_text(json.dumps(doc))
+        assert main(["sankey", "--out", str(out)]) == (0 if loads else 2)
+        assert loads or "model_3.json" in capsys.readouterr().err
 
 
 class TestNameCommand:

@@ -168,8 +168,8 @@ class TestFit:
         rng = np.random.default_rng(7)
         data = make_matrix(rng.normal(size=(100, 5)))
         lls = []
-        fit(data, GmmConfig(k=3, init_method="random-responsibility"),
-            iteration_hook=lambda it, ll, resp: lls.append(ll))
+        # A tight tol keeps EM iterating long after the k-means start.
+        fit(data, GmmConfig(k=3, tol=1e-9), iteration_hook=lambda it, ll, resp: lls.append(ll))
         diffs = np.diff(lls)
         floors = -1e-7 * np.abs(np.asarray(lls[:-1]))
         assert (diffs >= floors).all()
@@ -192,13 +192,6 @@ class TestFit:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             fit(make_matrix([[1.0], [2.0]]), GmmConfig(k=3))
-
-    def test_n_init_picks_best_likelihood(self):
-        rng = np.random.default_rng(9)
-        data = make_matrix(rng.normal(size=(60, 2)))
-        single, _ = fit(data, GmmConfig(k=3, init_method="random-responsibility"))
-        multi, _ = fit(data, GmmConfig(k=3, n_init=5, init_method="random-responsibility"))
-        assert multi.final_log_likelihood >= single.final_log_likelihood - 1e-9
 
     def test_convergence_flags(self):
         rng = np.random.default_rng(10)
@@ -251,8 +244,11 @@ class TestModelValidation:
             GmmConfig(k=0)
         with pytest.raises(ValueError):
             GmmConfig(k=1, tol=0.0)
-        with pytest.raises(ValueError):
-            GmmConfig(k=1, init_method="magic")
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                GmmConfig(k=1, tol=bad)
+            with pytest.raises(ValueError):
+                GmmConfig(k=1, reg_covar=bad)
 
 
 class TestModelSerialization:
@@ -279,14 +275,15 @@ class TestModelSerialization:
         assert "0.10000000000000001" in (tmp_path / "m.json").read_text()
 
     def test_reads_files_with_covariance_entry(self, tmp_path):
-        """Model files from before GmmConfig.covariance was dropped still load."""
+        """Model files carrying retired fields at their one reproducible value still load."""
         model = MixtureModel(
             k=1, weights=[1.0], means=[[0.5]], variances=[[2.0]],
             converged=True, n_iter=1, final_log_likelihood=-1.0,
         )
         save_model(model, GmmConfig(k=1, seed=7), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
-        doc["config"] = {"k": 1, "covariance": "diag", **doc["config"]}
+        doc["config"] = {"k": 1, "covariance": "diag", **doc["config"],
+                         "n_init": 1, "init_method": "kmeans"}
         (tmp_path / "m.json").write_text(json.dumps(doc))
         back, back_config = load_model(tmp_path / "m.json")
         assert back_config == GmmConfig(k=1, seed=7)
@@ -295,6 +292,8 @@ class TestModelSerialization:
     @pytest.mark.parametrize("field, value", [
         ("weights", None), ("k", "three"), ("means", [[0.5, 1.0]]),
         ("config.tol", None), ("config.seed", "7"), ("config.n_init", True), ("config", [1]),
+        ("config.n_init", 5), ("config.init_method", "random-responsibility"),
+        ("config.covariance", "full"), ("config.reg_covar", math.inf),
     ])
     def test_missing_or_ill_typed_field_is_parse_error(self, tmp_path, field, value):
         model = MixtureModel(

@@ -257,12 +257,6 @@ class TestProportionalStability:
         sb = proportional_stability(cur, prev)
         assert sb.per_cluster[0].best_parent == 0
 
-    def test_item_weighted_variant(self):
-        cur = make_partition([0, 0, 0, 0, 1, 1])
-        prev = make_partition([0, 0, 0, 1, 1, 1])
-        weighted = proportional_stability(cur, prev, item_weighted=True)
-        assert weighted.average == pytest.approx((3 + 2) / 6.0)
-
     def test_empty_current_clusters_skipped(self):
         cur = make_partition([0, 0, 2, 2], k=3)
         prev = make_partition([0, 1, 0, 1])

@@ -249,11 +249,13 @@ class TestHttpBackend:
             raise requests_module.ConnectionError("refused")
 
         monkeypatch.setattr("clustersweep.naming.requests.post", failing_post)
-        monkeypatch.setattr("clustersweep.naming.time.sleep", lambda s: None)
-        backend = HttpBackend("https://svc.example", retries=3)
+        sleeps = []
+        monkeypatch.setattr("clustersweep.naming.time.sleep", sleeps.append)
+        backend = HttpBackend("https://svc.example")
         with pytest.raises(BackendUnavailable):
             backend.generate(profile(), "p")
         assert calls["n"] == 3
+        assert sleeps == [1.0, 2.0]
 
     def test_missing_field_is_malformed(self, monkeypatch):
         class FakeResponse:

@@ -101,11 +101,6 @@ class TestRowStability:
         curve = row_stability(small_blobs, BASE, (3, 3), spec)
         assert curve.mean_ami[0] >= 0.95
 
-    def test_use_predict_variant(self, small_blobs):
-        spec = PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=2)
-        curve = row_stability(small_blobs, BASE, (3, 3), spec, use_predict=True)
-        assert curve.mean_ami[0] >= 0.95
-
     def test_fraction_below_k(self, small_blobs):
         spec = PerturbationSpec(kind="row_subsample", fraction=0.02, repetitions=1)
         with pytest.raises(ValueError):
