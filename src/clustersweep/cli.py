@@ -18,7 +18,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import ClassVar
 
 from . import naming, pipeline, sankey, stability
 from .data import EmbeddingMatrix, load_embeddings
@@ -101,8 +100,10 @@ class RunConfig:
     fallback_on_error: bool = _setting(False, "fall back per cluster if the backend fails", "name")
     stopwords: str | None = _setting(None, "stopword list file (one word per line)", "name")
     emoji_map: str | None = _setting(None, "JSON emoji-to-name map", "name")
-    # Names set by the config file or a flag; not a field, so never archived.
-    explicit: ClassVar[frozenset[str]] = frozenset()
+    # Names set by the config file or a flag. Not annotated, so never a field and
+    # never archived: dataclasses resolves a string ClassVar annotation in
+    # sys.modules["__main__"], which under runpy or cProfile is the runner.
+    explicit = frozenset()
 
     def validate(self) -> None:
         """Check what building ``base`` (GmmConfig) and ``specs`` (PerturbationSpec) does not."""

@@ -151,9 +151,8 @@ def build_contingency(a: Partition, b: Partition) -> ContingencyTable:
         b_labels = b.labels[[pos[item] for item in a.ids]]
     else:
         b_labels = b.labels
-    counts = np.zeros((a.k_declared, b.k_declared), dtype=np.int64)
-    np.add.at(counts, (a.labels, b_labels), 1)
-    return ContingencyTable(counts)
+    cells = np.bincount(a.labels * b.k_declared + b_labels, minlength=a.k_declared * b.k_declared)
+    return ContingencyTable(cells.reshape(a.k_declared, b.k_declared))
 
 
 def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partition]:
@@ -284,6 +283,10 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
     """
     path = Path(path)
     if format == "csv":
+        for row_id in matrix.ids:
+            # The reader splits lines at any line break and fields at commas.
+            if any(ch in row_id for ch in ",\n\r"):
+                raise ParseError(f"id {row_id!r} contains a comma or a line break")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cols = ",".join(f"e{c}" for c in range(matrix.d))
             fh.write(f"id,{cols}\n")

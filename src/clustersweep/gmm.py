@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import EmbeddingMatrix, Partition
 from .errors import DimensionMismatch, InsufficientData, ParseError
@@ -133,25 +132,45 @@ def log_density_diag(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> f
     return float(-0.5 * np.sum(np.log(2.0 * np.pi * variance) + (x - mean) ** 2 / variance))
 
 
-def _log_gaussian_matrix(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of log N(x_i | mu_j, diag(sigma2_j))."""
+def _log_gaussian_matrix(
+    X: np.ndarray, X2: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """(n, k) matrix of log N(x_i | mu_j, diag(sigma2_j)); ``X2`` is ``X * X``."""
     d = X.shape[1]
     prec = 1.0 / variances
     log_det = np.sum(np.log(variances), axis=1)
     quad = (
-        (X * X) @ prec.T
+        X2 @ prec.T
         - 2.0 * (X @ (means * prec).T)
         + np.sum(means * means * prec, axis=1)
     )
     return -0.5 * (d * LOG_2PI + log_det + quad)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=1))``, bit for bit as scipy.special.logsumexp computes it.
+
+    The row maximum's entries are taken out of the shifted sum ``s`` of the
+    other entries and come back as ``log(m)``, m being how often the maximum
+    occurs, so that a dominant term keeps its precision:
+    ``log1p(s / m) + log(m) + max``.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = np.count_nonzero(is_max, axis=1)
+    # A row of -inf shifts to NaN; it is masked out and its result is -inf.
+    with np.errstate(invalid="ignore"):
+        shifted = np.exp(a - a_max)
+    np.copyto(shifted, 0.0, where=is_max)
+    return np.log1p(shifted.sum(axis=1) / m) + np.log(m) + a_max[:, 0]
+
+
 def _log_resp_and_norm(
-    weights: np.ndarray, means: np.ndarray, variances: np.ndarray, X: np.ndarray
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray, X: np.ndarray, X2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
-        weighted = _log_gaussian_matrix(X, means, variances) + np.log(weights)
-    log_norm = logsumexp(weighted, axis=1)
+        weighted = _log_gaussian_matrix(X, X2, means, variances) + np.log(weights)
+    log_norm = _logsumexp_rows(weighted)
     return weighted - log_norm[:, None], log_norm
 
 
@@ -163,24 +182,27 @@ def e_step(model: MixtureModel, data: EmbeddingMatrix) -> tuple[np.ndarray, floa
     """
     if model.d != data.d:
         raise DimensionMismatch(f"model d={model.d}, data d={data.d}")
-    log_resp, log_norm = _log_resp_and_norm(
-        model.weights, model.means, model.variances, data.values
-    )
+    X = data.values
+    log_resp, log_norm = _log_resp_and_norm(model.weights, model.means, model.variances, X, X * X)
     return np.exp(log_resp), float(log_norm.sum())
 
 
 def _m_step_core(
     resp: np.ndarray,
     X: np.ndarray,
+    X2: np.ndarray,
     reg_covar: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum-likelihood parameter updates, with starved-component reseeding."""
+    """Maximum-likelihood parameter updates, with starved-component reseeding.
+
+    ``X2`` is ``X * X``, made once per fit.
+    """
     n, k = resp.shape
     mass = resp.sum(axis=0)
     starved = mass < STARVATION_FRACTION * n
     safe = np.where(starved, 1.0, mass)
     means = (resp.T @ X) / safe[:, None]
-    avg_sq = (resp.T @ (X * X)) / safe[:, None]
+    avg_sq = (resp.T @ X2) / safe[:, None]
     variances = avg_sq - means * means + reg_covar
     # The subtraction can dip a hair below the floor; clamp back.
     variances = np.maximum(variances, reg_covar)
@@ -192,7 +214,7 @@ def _m_step_core(
         # reg_covar-floored global variance and weight 1/n.
         alive = ~starved
         _, log_norm = _log_resp_and_norm(
-            weights[alive] / weights[alive].sum(), means[alive], variances[alive], X
+            weights[alive] / weights[alive].sum(), means[alive], variances[alive], X, X2
         )
         order = np.argsort(log_norm, kind="stable")
         global_var = np.maximum(X.var(axis=0), reg_covar)
@@ -209,31 +231,57 @@ def m_step(resp: np.ndarray, data: EmbeddingMatrix, reg_covar: float) -> Mixture
     resp = np.asarray(resp, dtype=np.float64)
     if resp.shape[0] != data.n:
         raise DimensionMismatch("responsibilities rows must match data rows")
-    weights, means, variances = _m_step_core(resp, data.values, reg_covar)
+    X = data.values
+    weights, means, variances = _m_step_core(resp, X, X * X, reg_covar)
     return MixtureModel(k=resp.shape[1], weights=weights, means=means, variances=variances)
 
 
 def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++: sample several candidates per step, keep the best."""
-    n = X.shape[0]
+    """Greedy k-means++ (Arthur & Vassilvitskii 2007).
+
+    Each step draws ``n_trials`` candidates with probability proportional to
+    the squared distance to the closest center and keeps the first one whose
+    potential, the sum of those distances once it is added, is lowest.
+
+    One matrix product ranks all candidates, as in scikit-learn's batched
+    ``_kmeans_plusplus``. Candidates within its rounding bound of the lowest
+    are rescored with the exact ``sum((X - c) ** 2)`` pass, and the kept
+    center's distances come from that pass, so the centers and every later
+    draw are those of scoring each candidate exactly.
+    """
+    n, d = X.shape
     n_trials = 2 + int(math.log(k))
-    centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    centers[0] = X[int(rng.integers(n))]
-    closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
+    x_sq = np.sum(X * X, axis=1)
+    # |product potential - exact potential| <= bound[c]: per entry the two
+    # forms differ by at most 2 (d + 2) eps (|x_i|^2 + |x_c|^2), and the two
+    # length-n pairwise sums add at most 2 (16 + log2 n) eps of that total.
+    bound_scale = 2 * (d + 18 + math.log2(n)) * np.finfo(np.float64).eps
+    x_sq_total = float(x_sq.sum())
+
+    def sq_dist(idx: int) -> np.ndarray:
+        return np.sum((X - X[idx]) ** 2, axis=1)
+
+    centers = np.empty((k, d), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = X[first]
+    closest_sq = sq_dist(first)
     for j in range(1, k):
         total = closest_sq.sum()
         if total > 0:
             candidates = rng.choice(n, size=n_trials, p=closest_sq / total)
         else:
             candidates = rng.integers(n, size=n_trials)
-        best_idx, best_closest, best_potential = -1, None, np.inf
-        for idx in candidates:
-            trial_closest = np.minimum(closest_sq, np.sum((X - X[int(idx)]) ** 2, axis=1))
-            potential = trial_closest.sum()
-            if potential < best_potential:
-                best_idx, best_closest, best_potential = int(idx), trial_closest, potential
-        centers[j] = X[best_idx]
-        closest_sq = best_closest
+        dist_sq = x_sq[candidates][:, None] - 2.0 * (X[candidates] @ X.T) + x_sq
+        potential = np.minimum(closest_sq, dist_sq).sum(axis=1)
+        bound = bound_scale * (x_sq_total + n * x_sq[candidates])
+        lowest = np.argmin(potential)
+        contenders = candidates[potential - potential[lowest] <= bound + bound[lowest]]
+        best = int(contenders[0])
+        if np.unique(contenders).size > 1:
+            exact = [np.minimum(closest_sq, sq_dist(idx)).sum() for idx in contenders]
+            best = int(contenders[np.argmin(exact)])  # the first minimum in draw order
+        centers[j] = X[best]
+        closest_sq = np.minimum(closest_sq, sq_dist(best))
     return centers
 
 
@@ -263,17 +311,6 @@ def _lloyd_labels(X: np.ndarray, centers: np.ndarray, max_rounds: int = 10) -> n
     return labels
 
 
-def _initialize(
-    X: np.ndarray, config: GmmConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k-means++ seeding plus Lloyd rounds, turned into a first M step."""
-    n = X.shape[0]
-    labels = _lloyd_labels(X, _kmeans_plus_plus(X, config.k, rng))
-    resp = np.zeros((n, config.k), dtype=np.float64)
-    resp[np.arange(n), labels] = 1.0
-    return _m_step_core(resp, X, config.reg_covar)
-
-
 def fit(
     data: EmbeddingMatrix,
     config: GmmConfig,
@@ -300,21 +337,28 @@ def fit(
     # The first child of the seed, as older versions drew one child per
     # initialization: default_rng(seed) itself would change every partition.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    weights, means, variances = _initialize(X, config, rng)
+    # One start: k-means++ seeding plus Lloyd rounds, turned into a first M step.
+    labels = _lloyd_labels(X, _kmeans_plus_plus(X, config.k, rng))
+    # X * X for every E- and M-step, made after seeding so that it never adds
+    # to seeding's own n x d temporaries.
+    X2 = X * X
+    resp = np.zeros((n, config.k), dtype=np.float64)
+    resp[np.arange(n), labels] = 1.0
+    weights, means, variances = _m_step_core(resp, X, X2, config.reg_covar)
     mean_ll = -np.inf
     converged = False
     n_iter = 0
     for n_iter in range(1, config.max_iter + 1):
         prev_mean_ll = mean_ll
-        log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X)
+        log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X, X2)
         if iteration_hook is not None:
             iteration_hook(n_iter, float(log_norm.sum()), np.exp(log_resp))
-        weights, means, variances = _m_step_core(np.exp(log_resp), X, config.reg_covar)
+        weights, means, variances = _m_step_core(np.exp(log_resp), X, X2, config.reg_covar)
         mean_ll = float(log_norm.mean())
         if abs(mean_ll - prev_mean_ll) < config.tol:
             converged = True
             break
-    log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X)
+    log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X, X2)
     if iteration_hook is not None:
         iteration_hook(n_iter + 1, float(log_norm.sum()), np.exp(log_resp))
     model = MixtureModel(

@@ -514,3 +514,12 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "sweep" in proc.stdout and "sankey" in proc.stdout
+
+    def test_help_under_a_module_runner(self):
+        # runpy, as cProfile and similar runners use it, makes itself __main__.
+        code = "import runpy; runpy.run_module('clustersweep.cli', run_name='__main__')"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sankey", "--help"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "--threshold" in proc.stdout

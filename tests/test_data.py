@@ -187,6 +187,13 @@ class TestEmbeddingIO:
         assert back.ids == m.ids
         assert np.max(np.abs(back.values - m.values)) < 1e-12
 
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb"])
+    def test_csv_rejects_ids_it_cannot_read_back(self, tmp_path, bad_id):
+        m = make_matrix(np.ones((2, 2)), ids=(bad_id, "c"))
+        with pytest.raises(ParseError):
+            save_embeddings(m, tmp_path / "m.csv", "csv")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         m = make_matrix(rng.normal(size=(7, 4)), ids=tuple(f"id{i}" for i in range(7)))

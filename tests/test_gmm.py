@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from clustersweep.errors import DimensionMismatch, InsufficientData, ParseError
 from clustersweep.gmm import (
     GmmConfig,
     MixtureModel,
+    _kmeans_plus_plus,
+    _logsumexp_rows,
     e_step,
     fit,
     load_model,
@@ -201,6 +204,73 @@ class TestFit:
         assert 1 <= model.n_iter <= 2000
         capped, _ = fit(data, GmmConfig(k=2, max_iter=1))
         assert capped.n_iter == 1
+
+
+def _kmeans_plus_plus_reference(X, k, rng):
+    """Greedy k-means++ scoring each candidate with its own exact pass."""
+    n = X.shape[0]
+    n_trials = 2 + int(math.log(k))
+    centers = np.empty((k, X.shape[1]), dtype=np.float64)
+    centers[0] = X[int(rng.integers(n))]
+    closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest_sq.sum()
+        if total > 0:
+            candidates = rng.choice(n, size=n_trials, p=closest_sq / total)
+        else:
+            candidates = rng.integers(n, size=n_trials)
+        best_idx, best_closest, best_potential = -1, None, np.inf
+        for idx in candidates:
+            trial_closest = np.minimum(closest_sq, np.sum((X - X[int(idx)]) ** 2, axis=1))
+            potential = trial_closest.sum()
+            if potential < best_potential:
+                best_idx, best_closest, best_potential = int(idx), trial_closest, potential
+        centers[j] = X[best_idx]
+        closest_sq = best_closest
+    return centers
+
+
+def _degenerate_inputs():
+    rng = np.random.default_rng(123)
+    return {
+        "duplicate_rows": np.repeat(rng.normal(size=(6, 5)), 3, axis=0),
+        "constant_rows": np.full((12, 5), 2.5),
+        "one_dimension": rng.normal(size=(20, 1)),
+        "few_rows": rng.normal(size=(6, 4)),
+        "offset_1e6": rng.normal(size=(16, 6)) + 1e6,
+        "integer_grid": np.array([[i, j] for i in range(4) for j in range(4)], dtype=float),
+    }
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("name", sorted(_degenerate_inputs()))
+    def test_matches_per_candidate_reference(self, name):
+        # Near-ties ranked by the matrix product are rescored exactly, so every
+        # center, and every later draw, is the per-candidate loop's.
+        X = _degenerate_inputs()[name]
+        for seed in range(40):
+            for k in range(1, X.shape[0] + 1):
+                got = _kmeans_plus_plus(X, k, np.random.default_rng(seed))
+                want = _kmeans_plus_plus_reference(X, k, np.random.default_rng(seed))
+                assert np.array_equal(got, want), (name, seed, k)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize(
+        "shape", [(600, 20), (1200, 20), (600, 3), (50, 1)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_bit_identical_to_scipy(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        a = rng.normal(scale=50.0, size=shape)
+        if shape[1] > 2:
+            a[:, 2] = -np.inf  # a component of weight 0
+            a[::3, 0] = a[::3].max(axis=1)  # tied maxima
+        got = _logsumexp_rows(a)
+        assert np.array_equal(got.view(np.int64), logsumexp(a, axis=1).view(np.int64))
+
+    def test_infinite_rows(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [3.0, 3.0]])
+        assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
 
 
 class TestPredict:
