@@ -9,7 +9,7 @@ from .data import (
     load_embeddings,
     save_embeddings,
 )
-from .gmm import GmmConfig, MixtureModel, e_step, fit, log_density_diag, m_step, predict
+from .gmm import GmmConfig, MixtureModel, e_step, fit, log_density_diag, m_step
 from .metrics import (
     AmiReport,
     StabilityBreakdown,
@@ -58,7 +58,6 @@ __all__ = [
     "log_density_diag",
     "m_step",
     "mutual_information",
-    "predict",
     "proportional_stability",
     "read_archive",
     "row_stability",

@@ -131,9 +131,6 @@ class ContingencyTable:
         object.__setattr__(self, "col_sums", _readonly(counts.sum(axis=0)))
         object.__setattr__(self, "total", int(counts.sum()))
 
-    def transposed(self) -> "ContingencyTable":
-        return ContingencyTable(self.counts.T)
-
 
 def build_contingency(a: Partition, b: Partition) -> ContingencyTable:
     """Count pairwise cluster overlaps between two partitions of the same items.
@@ -174,6 +171,20 @@ def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partiti
     return a_out, b_out
 
 
+def _check_id(row_id: str, row: int, path: Path) -> None:
+    """Hold ``row_id`` to the id rule of every file format, or raise ParseError.
+
+    An id has no comma and no line break, and does not start or end with
+    whitespace: CSV rows split at commas and line breaks, and the partition
+    reader strips each line.
+    """
+    if any(ch in row_id for ch in ",\r\n") or row_id != row_id.strip():
+        raise ParseError(
+            f"{path}: row {row}: id {row_id!r} contains a comma or a line break, "
+            "or starts or ends with whitespace"
+        )
+
+
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -205,11 +216,14 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
 
 def _load_csv(path: Path) -> EmbeddingMatrix:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([f.strip() for f in line.split(",")])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                # Fields keep their spaces: float() ignores them, and an id may not have them.
+                if line.strip():
+                    rows.append(line.rstrip("\n").split(","))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
 
@@ -238,6 +252,8 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
                 f"{path}: row {r} has {len(fields)} fields, expected {width}"
             )
         value_fields = fields[1:] if has_ids else fields
+        if has_ids:
+            _check_id(fields[0], r, path)
         ids.append(fields[0] if has_ids else str(r))
         for c, token in enumerate(value_fields):
             try:
@@ -263,11 +279,15 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     if len(raw) < offset + nbytes:
         raise ParseError(f"{path}: truncated value block")
     values = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
-    id_block = raw[offset + nbytes :].decode("utf-8")
-    ids = id_block.split("\n") if id_block else []
+    try:
+        id_block = raw[offset + nbytes :].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: ids are not UTF-8 text: {exc}") from None
+    ids = id_block.split("\n")
     if len(ids) != n:
         raise ParseError(f"{path}: expected {n} ids, found {len(ids)}")
     for r in range(n):
+        _check_id(ids[r], r, path)
         row = values[r]
         if not np.isfinite(row).all():
             c = int(np.flatnonzero(~np.isfinite(row))[0])
@@ -282,28 +302,23 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
     round-tripping decimal representations.
     """
     path = Path(path)
+    if format not in ("csv", "bin"):
+        raise ParseError(f"unknown embedding format: {format!r}")
+    for r, row_id in enumerate(matrix.ids):
+        _check_id(row_id, r, path)
     if format == "csv":
-        for row_id in matrix.ids:
-            # The reader splits lines at any line break and fields at commas.
-            if any(ch in row_id for ch in ",\n\r"):
-                raise ParseError(f"id {row_id!r} contains a comma or a line break")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cols = ",".join(f"e{c}" for c in range(matrix.d))
             fh.write(f"id,{cols}\n")
             for i, row_id in enumerate(matrix.ids):
                 row = ",".join(repr(float(x)) for x in matrix.values[i])
                 fh.write(f"{row_id},{row}\n")
-    elif format == "bin":
-        for row_id in matrix.ids:
-            if "\n" in row_id:
-                raise ParseError(f"id {row_id!r} contains a newline")
+    else:
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<BQQ", BINARY_VERSION, matrix.n, matrix.d))
             fh.write(np.ascontiguousarray(matrix.values, dtype="<f8").tobytes())
             fh.write("\n".join(matrix.ids).encode("utf-8"))
-    else:
-        raise ParseError(f"unknown embedding format: {format!r}")
 
 
 def save_partition(partition: Partition, path: str | Path) -> None:

@@ -8,8 +8,11 @@ partitions. Responsibilities are plain (n, k) float arrays whose rows sum to 1.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,6 +30,14 @@ LOG_2PI = math.log(2.0 * math.pi)
 STARVATION_FRACTION = 1e-10
 
 IterationHook = Callable[[int, float, np.ndarray], None]
+
+# Thread-count setters of the OpenBLAS builds that numpy wheels ship: numpy 2's
+# scipy-openblas, numpy 1's 64-bit-integer build, and a plain build.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 # JSON types per GmmConfig field type; save_model prints a whole float as an int.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -333,6 +344,7 @@ def fit(
     n = X.shape[0]
     if n < config.k:
         raise InsufficientData(f"n={n} rows cannot support k={config.k} components")
+    _pin_blas()
 
     # The first child of the seed, as older versions drew one child per
     # initialization: default_rng(seed) itself would change every partition.
@@ -374,19 +386,48 @@ def fit(
     return model, Partition(n_items=n, k_declared=config.k, labels=labels, ids=data.ids)
 
 
+def _blas_thread_setter() -> Callable[[int], None] | None:
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None if none is found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+@functools.cache
+def _pin_blas() -> None:
+    """Hold BLAS at one thread per process, once.
+
+    A fit's floats then do not depend on the BLAS thread count, and ``jobs``
+    fit threads do not each start BLAS threads of their own. The fit path
+    calls this, not the import, so library users keep their BLAS settings
+    until they fit.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        print("clustersweep: no OpenBLAS thread setter found; BLAS runs unpinned, "
+              "so model files may depend on its thread count", file=sys.stderr)
+    else:
+        setter(1)
+
+
 def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:
-    """The executor for independent fits: ``[fn(x) for x in items]``, threaded if jobs > 1."""
+    """The executor for independent fits: ``[fn(x) for x in items]``, threaded if jobs > 1.
+
+    BLAS is pinned before any worker thread starts.
+    """
+    _pin_blas()
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
-
-
-def predict(model: MixtureModel, data: EmbeddingMatrix) -> Partition:
-    """Assign items to their argmax-responsibility component (lowest index on ties)."""
-    resp, _ = e_step(model, data)
-    labels = np.argmax(resp, axis=1)
-    return Partition(n_items=data.n, k_declared=model.k, labels=labels, ids=data.ids)
 
 
 def _json_render(obj) -> str:

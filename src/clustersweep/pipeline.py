@@ -79,7 +79,7 @@ def run_sweep(
     """Fit a GMM at every K in [k_min, k_max] and compare consecutive resolutions.
 
     Deterministic given (data, base, range); fits at different K may run in
-    parallel and are joined by K.
+    parallel, largest K first, and are joined by K.
 
     Raises:
         NumericFailure: if a fit ends with a non-finite log-likelihood.
@@ -90,21 +90,22 @@ def run_sweep(
     if data.n < k_max:
         raise ValueError(f"n={data.n} rows cannot support k_max={k_max}")
 
-    def fit_one(k: int) -> tuple[int, MixtureModel, Partition]:
+    def fit_one(k: int) -> tuple[MixtureModel, Partition]:
         try:
-            model, partition = gmm.fit(data, base.with_k(k))
+            return gmm.fit(data, base.with_k(k))
         except ClusterSweepError as exc:
             exc.args = (f"while fitting K={k}: {exc}",)
             raise
-        if not math.isfinite(model.final_log_likelihood):
-            raise NumericFailure(
-                f"non-finite log-likelihood at K={k}: {model.final_log_likelihood}"
-            )
-        return k, model, partition
 
-    fitted = gmm._map_ordered(fit_one, range(k_min, k_max + 1), jobs)
-    partitions = {k: part for k, _, part in fitted}
-    models = {k: model for k, model, _ in fitted}
+    ks = range(k_min, k_max + 1)
+    # Largest K first, so that the slowest fits start early; joined by K.
+    fitted = dict(zip(reversed(ks), gmm._map_ordered(fit_one, reversed(ks), jobs)))
+    for k in ks:
+        ll = fitted[k][0].final_log_likelihood
+        if not math.isfinite(ll):
+            raise NumericFailure(f"non-finite log-likelihood at K={k}: {ll}")
+    partitions = {k: fitted[k][1] for k in ks}
+    models = {k: fitted[k][0] for k in ks}
     return SweepResult(
         k_min=k_min,
         k_max=k_max,

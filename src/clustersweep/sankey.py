@@ -81,12 +81,6 @@ class SankeyGraph:
                 return n
         raise KeyError(node_id(k, cluster))
 
-    def dropped_at(self, k: int) -> int:
-        for kk, items in self.dropped_flow:
-            if kk == k:
-                return items
-        raise KeyError(k)
-
 
 def build_graph(
     result: SweepResult,

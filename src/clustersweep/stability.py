@@ -78,30 +78,31 @@ def _run(
 ) -> StabilityCurve:
     """The protocol of every kind: perturb, refit every K, score against the reference.
 
-    ``perturb(r)`` gives the data and fit settings for each r in ``reps``.
-    ``compare(partition, reference)`` scores a refit, by default the
-    AMI of the two partitions. K=1 scores 1.0 by convention, unfitted.
+    ``perturb(r)`` gives the data and fit settings for each r in ``reps``,
+    drawn once per repetition. ``compare(partition, reference)`` scores a
+    refit, by default the AMI of the two partitions. K=1 scores 1.0 by
+    convention, unfitted. Fits run on ``jobs`` threads, largest K first so
+    that the slowest start early, and scores are joined by K.
     """
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
-    ks = list(range(k_range[0], k_range[1] + 1))
+    ks = range(k_range[0], k_range[1] + 1)
+    fit_ks = [k for k in reversed(ks) if k > 1]
     refs = dict(references) if references else {}
-    for k in ks:
-        if k > 1 and k not in refs:
-            _, refs[k] = gmm.fit(data, base.with_k(k))
+    missing = [k for k in fit_ks if k not in refs]
+    refs.update(zip(missing, gmm._map_ordered(
+        lambda k: gmm.fit(data, base.with_k(k))[1], missing, jobs)))
 
-    def one_rep(r: int) -> list[float]:
+    def score(sub: EmbeddingMatrix, config: GmmConfig, k: int) -> float:
+        _, part = gmm.fit(sub, config.with_k(k))
+        return compare(part, refs[k]) if compare else ami(part, refs[k]).ami
+
+    rows = []
+    for r in reps:
         sub, config = perturb(r)
-        row = []
-        for k in ks:
-            if k == 1:
-                row.append(1.0)
-                continue
-            _, part = gmm.fit(sub, config.with_k(k))
-            row.append(compare(part, refs[k]) if compare else ami(part, refs[k]).ami)
-        return row
-
-    per_rep = np.asarray(gmm._map_ordered(one_rep, reps, jobs), dtype=np.float64)
+        scores = dict(zip(fit_ks, gmm._map_ordered(lambda k: score(sub, config, k), fit_ks, jobs)))
+        rows.append([scores.get(k, 1.0) for k in ks])
+    per_rep = np.asarray(rows, dtype=np.float64)
     return StabilityCurve(
         kind=kind,
         k_values=tuple(ks),

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from clustersweep.data import EmbeddingMatrix, Partition
+from clustersweep.data import BINARY_MAGIC, BINARY_VERSION, EmbeddingMatrix, Partition
 
 
 def make_partition(labels, k=None, ids=None) -> Partition:
@@ -18,6 +20,15 @@ def make_matrix(values, ids=None) -> EmbeddingMatrix:
     if ids is None:
         ids = tuple(str(i) for i in range(values.shape[0]))
     return EmbeddingMatrix(tuple(ids), values)
+
+
+def write_binary_unchecked(path, values, ids) -> None:
+    """The binary embedding layout, written without the writer's id check."""
+    values = np.asarray(values, dtype="<f8")
+    path.write_bytes(
+        BINARY_MAGIC + struct.pack("<BQQ", BINARY_VERSION, *values.shape)
+        + values.tobytes() + "\n".join(ids).encode("utf-8")
+    )
 
 
 def make_blobs(centers, n_per, sigma=1.0, seed=0):

@@ -1,19 +1,23 @@
+import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clustersweep
 from clustersweep.cli import RunConfig, build_parser, main, parse_threshold, resolve_config
 from clustersweep.data import load_embeddings, load_partition, save_embeddings
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
-from conftest import make_blobs, spread_centers
+from conftest import make_blobs, spread_centers, write_binary_unchecked
 
 
 @pytest.fixture(scope="module")
@@ -523,3 +527,62 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "--threshold" in proc.stdout
+
+
+class TestIdRule:
+    @pytest.mark.parametrize("row_id", ["b\r", " b", "b,c"])
+    def test_id_breaking_the_rule_exits_2_naming_the_row(self, tmp_path, capsys, row_id):
+        # Such an id would reach partition_K.csv, which could then not be read back.
+        write_binary_unchecked(tmp_path / "emb.bin", np.eye(3), ["a", row_id, "c"])
+        code = main(["sweep", "--input", str(tmp_path / "emb.bin"), "--format", "bin",
+                     "--k-max", "2", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"row 1: id {row_id!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+def _archive_digests(out: Path) -> dict[str, str]:
+    """Every archive file's sha256; config.json without its run-specific entries."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "config.json":
+            doc = json.loads(data)
+            del doc["out"], doc["jobs"]
+            data = json.dumps(doc).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+class TestByteDeterminism:
+    def test_archive_bytes_do_not_depend_on_jobs_or_blas_threads(self, tmp_path):
+        # At 900 x 128 OpenBLAS splits the K=9 and K=10 products over its
+        # threads, so unpinned BLAS makes those model_K.json floats depend on
+        # the thread count.
+        data, _ = make_blobs(spread_centers(6, 128, 8.0), n_per=150, sigma=1.0, seed=61)
+        save_embeddings(data, tmp_path / "emb.bin", "bin")
+        stages = [
+            ["sweep", "--input", str(tmp_path / "emb.bin"), "--format", "bin"],
+            ["stability", "--kinds", "dimensions", "rows", "seeds", "--reps", "1",
+             "--seed-lo", "1", "--seed-hi", "1"],
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(clustersweep.__file__).parents[1])
+        archives = {}
+        for jobs in ("1", "2"):
+            for threads in (None, "1", "2"):
+                out = tmp_path / f"jobs{jobs}-blas{threads}"
+                run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+                for stage in stages:
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "clustersweep.cli", *stage, "--out", str(out),
+                         "--k-max", "10", "--jobs", jobs],
+                        env=run_env, capture_output=True, text=True, timeout=120,
+                    )
+                    assert proc.returncode == 0, proc.stderr
+                archives[f"--jobs {jobs}, OPENBLAS_NUM_THREADS={threads}"] = _archive_digests(out)
+        (first_run, first), *rest = archives.items()
+        assert len(first) == 32  # config, 10 partitions, 10 models, metrics, 10 stability
+        for run, digests in rest:
+            differing = sorted(name for name in first if digests.get(name) != first[name])
+            assert not differing and digests.keys() == first.keys(), (first_run, run, differing)

@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustersweep.data import (
     EmbeddingMatrix,
@@ -18,7 +24,7 @@ from clustersweep.errors import (
     ParseError,
 )
 
-from conftest import make_matrix, make_partition
+from conftest import make_matrix, make_partition, write_binary_unchecked
 
 
 class TestEmbeddingMatrix:
@@ -207,6 +213,75 @@ class TestEmbeddingIO:
         p.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ParseError):
             load_embeddings(p, "bin")
+
+
+def _follows_id_rule(row_id: str) -> bool:
+    return not any(ch in row_id for ch in ",\r\n") and row_id == row_id.strip()
+
+
+GOOD_IDS = st.lists(
+    st.text(max_size=6).filter(_follows_id_rule), min_size=1, max_size=6, unique=True
+)
+BAD_IDS = st.one_of(
+    st.builds(lambda a, sep, b: a + sep + b, st.text(max_size=3), st.sampled_from(",\r\n"),
+              st.text(max_size=3)),
+    st.builds(lambda core, ws, lead: ws + core if lead else core + ws, st.text(max_size=3),
+              st.sampled_from([" ", "\t", "\x0b", "\x85", "\xa0", "\u2028"]), st.booleans()),
+)
+
+
+class TestIdRule:
+    @settings(max_examples=60, deadline=None)
+    @given(ids=GOOD_IDS)
+    def test_ids_round_trip_through_every_file(self, ids):
+        m = make_matrix(np.arange(2.0 * len(ids)).reshape(-1, 2), ids=ids)
+        part = make_partition(np.arange(len(ids)) % 2, k=2, ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("bin", "csv"):
+                save_embeddings(m, Path(tmp) / f"m.{fmt}", fmt)
+                back = load_embeddings(Path(tmp) / f"m.{fmt}", fmt)
+                assert back.ids == m.ids and np.array_equal(back.values, m.values)
+            save_partition(part, Path(tmp) / "partition_2.csv")
+            assert load_partition(Path(tmp) / "partition_2.csv", k_declared=2).ids == m.ids
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=GOOD_IDS, bad=BAD_IDS, data=st.data())
+    def test_ids_breaking_the_rule_are_rejected(self, ids, bad, data):
+        ids = [i for i in ids if i != bad]
+        row = data.draw(st.integers(0, len(ids)), label="row")
+        ids.insert(row, bad)
+        values = np.zeros((len(ids), 2))
+        m = make_matrix(values, ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("bin", "csv"):
+                with pytest.raises(ParseError, match=f"row {row}: id"):
+                    save_embeddings(m, Path(tmp) / f"m.{fmt}", fmt)
+                assert not (Path(tmp) / f"m.{fmt}").exists()
+            write_binary_unchecked(Path(tmp) / "m.bin", values, ids)
+            # A line break inside an id splits the binary id block itself.
+            expected = "expected .* ids" if "\n" in bad else f"row {row}: id"
+            with pytest.raises(ParseError, match=expected):
+                load_embeddings(Path(tmp) / "m.bin", "bin")
+
+    @pytest.mark.parametrize("row_id", [" a", "a ", "\ta"])
+    def test_csv_reader_rejects_surrounding_whitespace(self, tmp_path, row_id):
+        # Stripping it would silently change the id that partition files carry.
+        (tmp_path / "e.csv").write_text(f"id,e0\nb,1.0\n{row_id},2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"row 1: id {row_id!r}")):
+            load_embeddings(tmp_path / "e.csv", "csv")
+
+    def test_ids_that_are_not_utf8_are_a_parse_error(self, tmp_path):
+        write_binary_unchecked(tmp_path / "e.bin", np.zeros((1, 1)), [])
+        (tmp_path / "e.bin").write_bytes((tmp_path / "e.bin").read_bytes() + b"\xff")
+        (tmp_path / "e.csv").write_bytes(b"id,e0\n\xff,1.0\n")
+        for fmt in ("bin", "csv"):
+            with pytest.raises(ParseError, match="UTF-8"):
+                load_embeddings(tmp_path / f"e.{fmt}", fmt)
+
+    def test_csv_values_may_carry_spaces(self, tmp_path):
+        (tmp_path / "e.csv").write_text("id, e0, e1\na, 1.0, 2.0 \n", encoding="utf-8")
+        m = load_embeddings(tmp_path / "e.csv", "csv")
+        assert m.ids == ("a",) and m.values.tolist() == [[1.0, 2.0]]
 
 
 class TestPartitionIO:

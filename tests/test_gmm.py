@@ -1,22 +1,26 @@
+import ctypes
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from clustersweep.errors import DimensionMismatch, InsufficientData, ParseError
+import clustersweep.gmm
 from clustersweep.gmm import (
     GmmConfig,
     MixtureModel,
+    _blas_thread_setter,
     _kmeans_plus_plus,
     _logsumexp_rows,
+    _pin_blas,
     e_step,
     fit,
     load_model,
     log_density_diag,
     m_step,
-    predict,
     save_model,
 )
 from clustersweep.metrics import ami
@@ -273,31 +277,37 @@ class TestLogSumExp:
         assert np.array_equal(_logsumexp_rows(a), logsumexp(a, axis=1))
 
 
-class TestPredict:
-    def test_matches_fit_labels(self, four_blob_data):
+class TestBlasPin:
+    def test_pin_blas_holds_numpys_openblas_at_one_thread(self, four_blob_data):
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        if not libs:
+            pytest.skip("this numpy ships no OpenBLAS of its own")
+        setter = _blas_thread_setter()
+        assert setter is not None
+        getter = getattr(ctypes.CDLL(str(libs[0])), setter.__name__.replace("_set_", "_get_"))
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(2)
+        _pin_blas.cache_clear()
+        try:
+            fit(four_blob_data[0], GmmConfig(k=2))
+            assert getter() == 1
+        finally:
+            _pin_blas.cache_clear()
+            _pin_blas()
+
+    def test_unpinned_blas_fits_the_same_and_says_so_once(self, four_blob_data, monkeypatch,
+                                                          capsys):
         data, _ = four_blob_data
-        model, part = fit(data, GmmConfig(k=4))
-        assert np.array_equal(predict(model, data).labels, part.labels)
-
-    def test_k1_all_zero(self):
-        model = MixtureModel(k=1, weights=[1.0], means=[[0.0]], variances=[[1.0]])
-        part = predict(model, make_matrix([[1.0], [2.0], [3.0]]))
-        assert (part.labels == 0).all()
-
-    def test_point_at_component_mean(self):
-        model = MixtureModel(
-            k=2,
-            weights=[0.5, 0.5],
-            means=[[0.0, 0.0], [50.0, 50.0]],
-            variances=[[1.0, 1.0], [1.0, 1.0]],
-        )
-        part = predict(model, make_matrix([[50.0, 50.0], [0.0, 0.0]]))
-        assert part.labels.tolist() == [1, 0]
-
-    def test_dimension_mismatch(self):
-        model = MixtureModel(k=1, weights=[1.0], means=[[0.0]], variances=[[1.0]])
-        with pytest.raises(DimensionMismatch):
-            predict(model, make_matrix([[1.0, 2.0]]))
+        _, expected = fit(data, GmmConfig(k=4))
+        monkeypatch.setattr(clustersweep.gmm, "_blas_thread_setter", lambda: None)
+        _pin_blas.cache_clear()
+        try:
+            parts = [fit(data, GmmConfig(k=4))[1] for _ in range(2)]
+        finally:
+            _pin_blas.cache_clear()
+        assert all(np.array_equal(p.labels, expected.labels) for p in parts)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "unpinned" in lines[0]
 
 
 class TestModelValidation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import clustersweep.gmm
+from clustersweep.data import ContingencyTable
 from clustersweep.errors import ClusterSweepError, NumericFailure, OutOfRange, ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import ami, stability_from_table
@@ -120,7 +121,8 @@ class TestTransitionCounts:
     def test_stored_stability_matches_recompute(self, three_blob_sweep):
         _, _, result = three_blob_sweep
         for k in range(1, 4):
-            recomputed = stability_from_table(transition_counts(result, k).transposed())
+            reversed_table = ContingencyTable(transition_counts(result, k).counts.T)
+            recomputed = stability_from_table(reversed_table)
             assert recomputed == result.comparison_at(k + 1).stability
 
 

@@ -62,9 +62,10 @@ class TestBuildGraph:
     def test_conservation_with_dropped_accounting(self, blob_sweep):
         data, result = blob_sweep
         g = build_graph(result, threshold=30)
+        dropped = dict(g.dropped_flow)
         for k in range(g.k_min, g.k_max):
             retained = sum(e.flow for e in g.edges if e.source_k == k)
-            assert retained + g.dropped_at(k) == data.n
+            assert retained + dropped[k] == data.n
 
     def test_monotone_filtering(self, blob_sweep):
         _, result = blob_sweep

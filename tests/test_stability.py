@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import clustersweep.gmm
+from clustersweep import stability
 from clustersweep.gmm import GmmConfig
 from clustersweep.stability import (
     PerturbationSpec,
@@ -64,12 +65,27 @@ class TestAllKinds:
         assert curve.per_rep.shape == (1 if spec.kind == "seed_variation" else 3, 5)
 
     @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
-    def test_jobs_do_not_change_results(self, small_blobs, spec):
+    def test_jobs_do_not_change_results(self, small_blobs, spec, monkeypatch):
         # Above K=3 the three blobs split differently per repetition, so
-        # repetitions joined out of order would show.
-        serial = run_protocol(small_blobs, BASE, (1, 5), spec)
-        threaded = run_protocol(small_blobs, BASE, (1, 5), spec, jobs=4)
-        assert np.array_equal(serial.per_rep, threaded.per_rep)
+        # repetitions or Ks joined out of order would show.
+        draws = []
+        if spec.kind == "seed_variation":
+            reps = list(spec.seeds())
+            with_seed = GmmConfig.with_seed
+            monkeypatch.setattr(GmmConfig, "with_seed",
+                                lambda self, seed: draws.append(seed) or with_seed(self, seed))
+        else:
+            reps = list(range(spec.repetitions))
+            subsample = stability._subsample
+            monkeypatch.setattr(stability, "_subsample",
+                                lambda spec, r, *a: draws.append(r) or subsample(spec, r, *a))
+        for k_range in ((1, 5), (3, 5)):
+            serial = run_protocol(small_blobs, BASE, k_range, spec)
+            threaded = run_protocol(small_blobs, BASE, k_range, spec, jobs=3)
+            assert np.array_equal(serial.per_rep, threaded.per_rep)
+            assert serial.per_rep.shape == (len(reps), k_range[1] - k_range[0] + 1)
+        # Each repetition is drawn once, not once per K.
+        assert draws == reps * 4
 
 
 class TestDimensionStability:
