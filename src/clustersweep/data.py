@@ -7,6 +7,7 @@ by id, never by position.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,26 +245,40 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
         has_ids = not _is_float(data_rows[0][0])
 
     width = len(data_rows[0])
-    ids: list[str] = []
-    values = np.empty((len(data_rows), width - (1 if has_ids else 0)), dtype=np.float64)
     for r, fields in enumerate(data_rows):
         if len(fields) != width:
             raise DimensionMismatch(
                 f"{path}: row {r} has {len(fields)} fields, expected {width}"
             )
-        value_fields = fields[1:] if has_ids else fields
         if has_ids:
             _check_id(fields[0], r, path)
-        ids.append(fields[0] if has_ids else str(r))
-        for c, token in enumerate(value_fields):
+    ids = [f[0] for f in data_rows] if has_ids else [str(r) for r in range(len(data_rows))]
+    tokens = [f[1:] for f in data_rows] if has_ids else data_rows
+    # numpy converts each str with float()'s rules; on a failure the tokens are
+    # gone over one at a time to find and name the first bad one.
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        parsed = bool(np.isfinite(values).all())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        values = _parse_values(tokens, path)
+    return EmbeddingMatrix(ids=tuple(ids), values=values)
+
+
+def _parse_values(rows: list[list[str]], path: Path) -> np.ndarray:
+    """Convert value tokens one by one, raising at the first that is not a finite number."""
+    values = np.empty((len(rows), len(rows[0])), dtype=np.float64)
+    for r, fields in enumerate(rows):
+        for c, token in enumerate(fields):
             try:
                 x = float(token)
             except ValueError:
                 raise ParseError(f"{path}: row {r}, column {c}: not a number: {token!r}")
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
             values[r, c] = x
-    return EmbeddingMatrix(ids=tuple(ids), values=values)
+    return values
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:
@@ -336,20 +351,25 @@ def load_partition(path: str | Path, k_declared: int | None = None) -> Partition
     """
     ids: list[str] = []
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line or (line_no == 0 and line.lower() == "id,label"):
-                continue
-            parts = line.rsplit(",", 1)
-            if len(parts) != 2:
-                raise ParseError(f"{path}: malformed partition row: {line!r}")
-            try:
-                label = int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}: bad label in row: {line!r}")
-            ids.append(parts[0])
-            labels.append(label)
+    try:
+        # Not splitlines(): it also splits at characters such as U+2028, which an id may hold.
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    for line_no, line in enumerate(lines):
+        line = line.strip()
+        if not line or (line_no == 0 and line.lower() == "id,label"):
+            continue
+        parts = line.rsplit(",", 1)
+        if len(parts) != 2:
+            raise ParseError(f"{path}: malformed partition row: {line!r}")
+        try:
+            label = int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}: bad label in row: {line!r}")
+        ids.append(parts[0])
+        labels.append(label)
     if not ids:
         raise ParseError(f"{path}: empty partition file")
     k = k_declared if k_declared is not None else max(labels) + 1

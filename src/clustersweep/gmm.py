@@ -441,6 +441,10 @@ def _json_render(obj) -> str:
         return format(float(obj), ".17g") if math.isfinite(obj) else json.dumps(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+            and np.isfinite(obj).all()):
+        # One join per finite row: the same text as the per-value path, without its calls.
+        return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_render(x) for x in obj) + "]"
     if isinstance(obj, dict):
@@ -452,9 +456,9 @@ def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None
     """Write a fitted model as JSON with floats at 17 significant digits."""
     doc = {
         "k": model.k,
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
+        "weights": model.weights,
+        "means": model.means,
+        "variances": model.variances,
         "config": config.to_dict(),
         "final_log_likelihood": model.final_log_likelihood,
         "n_iter": model.n_iter,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import ContingencyTable, Partition, build_contingency
 
@@ -109,6 +108,9 @@ def expected_mutual_information(t: ContingencyTable) -> float:
     Equals the average MI over all total! equally likely item relabelings of
     one side.
     """
+    # Imported here, so that only a process that computes an EMI pays for scipy.
+    from scipy.special import gammaln
+
     n = t.total
     if n < 1:
         return 0.0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .data import Partition
 from .errors import BackendUnavailable, EmptyCluster, MalformedResponse, ParseError
@@ -206,6 +205,9 @@ class HttpBackend:
         return value
 
     def generate(self, profile: ClusterProfile, prompt: str) -> str:
+        # Imported here: only this backend posts, and offline runs need not load requests.
+        import requests
+
         payload = {"prompt": prompt}
         if self.model:
             payload["model"] = self.model
@@ -318,15 +320,20 @@ def write_name_table(assignments: list[NameAssignment], path: str | Path) -> Non
 def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
     """Read a name table back as a (k, cluster) -> unique_name map."""
     names: dict[tuple[int, int], str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["k", "cluster"]:
-            raise ParseError(f"{path}: not a name table (bad header)")
-        for row in reader:
-            if len(row) < 4:
-                raise ParseError(f"{path}: short name-table row: {row!r}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    if not rows or rows[0][:2] != ["k", "cluster"]:
+        raise ParseError(f"{path}: not a name table (bad header)")
+    for r, row in enumerate(rows[1:]):
+        if len(row) < 4:
+            raise ParseError(f"{path}: row {r}: short name-table row: {row!r}")
+        try:
             names[(int(row[0]), int(row[1]))] = row[3]
+        except ValueError:
+            raise ParseError(f"{path}: row {r}: k and cluster must be integers: {row!r}") from None
     return names
 
 

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import gmm
@@ -38,35 +39,33 @@ class ConsecutiveComparison:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Partitions, models, consecutive metrics, and the fit settings (at k_min) of one sweep."""
+    """Partitions, models and the fit settings (at k_min) of one sweep."""
 
     k_min: int
     k_max: int
     partitions: dict[int, Partition]
     models: dict[int, MixtureModel]
-    consecutive: tuple[ConsecutiveComparison, ...]
     base: GmmConfig
+
+    @cached_property
+    def consecutive(self) -> tuple[ConsecutiveComparison, ...]:
+        """AMI and proportional stability of every K against K - 1, computed on first use."""
+        out = []
+        for k in range(self.k_min + 1, self.k_max + 1):
+            table = build_contingency(self.partitions[k], self.partitions[k - 1])
+            out.append(
+                ConsecutiveComparison(
+                    k_current=k,
+                    ami=ami_from_table(table),
+                    stability=stability_from_table(table),
+                )
+            )
+        return tuple(out)
 
     def comparison_at(self, k_current: int) -> ConsecutiveComparison:
         if not (self.k_min < k_current <= self.k_max):
             raise OutOfRange(f"no comparison at K={k_current}")
         return self.consecutive[k_current - self.k_min - 1]
-
-
-def _consecutive_metrics(
-    partitions: dict[int, Partition], k_min: int, k_max: int
-) -> tuple[ConsecutiveComparison, ...]:
-    out = []
-    for k in range(k_min + 1, k_max + 1):
-        table = build_contingency(partitions[k], partitions[k - 1])
-        out.append(
-            ConsecutiveComparison(
-                k_current=k,
-                ami=ami_from_table(table),
-                stability=stability_from_table(table),
-            )
-        )
-    return tuple(out)
 
 
 def run_sweep(
@@ -111,7 +110,6 @@ def run_sweep(
         k_max=k_max,
         partitions=partitions,
         models=models,
-        consecutive=_consecutive_metrics(partitions, k_min, k_max),
         base=base.with_k(k_min),
     )
 
@@ -164,7 +162,7 @@ def write_archive(
 
 
 def read_archive(path: str | Path) -> SweepResult:
-    """Load a sweep archive back; consecutive metrics are recomputed exactly.
+    """Load a sweep archive back; consecutive metrics are recomputed exactly on first use.
 
     The K range is the archive's own. Every K needs a model_K.json; their fit
     settings must agree. Raises MissingArchive if there are no partition files.
@@ -195,6 +193,5 @@ def read_archive(path: str | Path) -> SweepResult:
         k_max=ks[-1],
         partitions=partitions,
         models=models,
-        consecutive=_consecutive_metrics(partitions, ks[0], ks[-1]),
         base=bases.pop(),
     )

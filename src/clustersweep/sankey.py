@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data import build_contingency
 from .errors import InsufficientResolutions, ParseError
+from .metrics import proportional_stability
 from .pipeline import SweepResult
 
 # Stability color ramp endpoints (dark blue -> light yellow).
@@ -109,10 +110,8 @@ def build_graph(
         if k == result.k_min:
             ratios = {c: 1.0 for c in range(len(sizes))}
         else:
-            ratios = {
-                cs.cluster: cs.ratio
-                for cs in result.comparison_at(k).stability.per_cluster
-            }
+            stability = proportional_stability(result.partitions[k], result.partitions[k - 1])
+            ratios = {cs.cluster: cs.ratio for cs in stability.per_cluster}
         occupied = [c for c in range(len(sizes)) if sizes[c] > 0]
         for c in sorted(occupied, key=lambda c: (-int(sizes[c]), c)):
             nodes.append(
@@ -183,42 +182,51 @@ def export_json(g: SankeyGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> SankeyGraph:
-    """Read a graph written by :func:`export_json`."""
+    """Read a graph written by :func:`export_json`.
+
+    Raises:
+        ParseError: if the file is not UTF-8 JSON of a graph, or a field is missing or ill-typed.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid graph JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a graph must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != 1:
         raise ParseError(f"{path}: unsupported graph version {doc.get('version')!r}")
-    nodes = tuple(
-        SankeyNode(
-            k=int(n["k"]),
-            cluster=int(n["cluster"]),
-            label=str(n["label"]),
-            size=int(n["size"]),
-            stability=float(n["stability"]),
+    try:
+        nodes = tuple(
+            SankeyNode(
+                k=int(n["k"]),
+                cluster=int(n["cluster"]),
+                label=str(n["label"]),
+                size=int(n["size"]),
+                stability=float(n["stability"]),
+            )
+            for n in doc["nodes"]
         )
-        for n in doc["nodes"]
-    )
-    by_id = {n.id: n for n in nodes}
-    edges = tuple(
-        SankeyEdge(
-            source_k=by_id[e["source"]].k,
-            source_cluster=by_id[e["source"]].cluster,
-            target_cluster=by_id[e["target"]].cluster,
-            flow=int(e["flow"]),
+        by_id = {n.id: n for n in nodes}
+        edges = tuple(
+            SankeyEdge(
+                source_k=by_id[e["source"]].k,
+                source_cluster=by_id[e["source"]].cluster,
+                target_cluster=by_id[e["target"]].cluster,
+                flow=int(e["flow"]),
+            )
+            for e in doc["edges"]
         )
-        for e in doc["edges"]
-    )
-    ks = [n.k for n in nodes]
-    return SankeyGraph(
-        k_min=min(ks),
-        k_max=max(ks),
-        nodes=nodes,
-        edges=edges,
-        filter_threshold=int(doc["threshold"]),
-        dropped_flow=tuple((int(d["k"]), int(d["items"])) for d in doc["dropped_flow"]),
-    )
+        ks = [n.k for n in nodes]
+        return SankeyGraph(
+            k_min=min(ks),
+            k_max=max(ks),
+            nodes=nodes,
+            edges=edges,
+            filter_threshold=int(doc["threshold"]),
+            dropped_flow=tuple((int(d["k"]), int(d["items"])) for d in doc["dropped_flow"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: invalid graph: {exc!r}") from exc
 
 
 def stability_color(stability: float) -> str:

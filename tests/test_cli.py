@@ -442,6 +442,26 @@ class TestSankeyCommand:
         assert main(["sankey", "--out", str(out)]) == 2
         assert "model_3.json" in capsys.readouterr().err
 
+    def test_corrupt_partition_file_exits_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        path = out / "partition_2.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n0,", b"\n\xff0,", 1))
+        assert main(["sankey", "--out", str(out)]) == 2
+        assert "partition_2.csv: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        (b"x,0,5,foo,fallback", "names.csv: row 1: k and cluster must be integers"),
+        (b"2,0,\xff,\xff,fallback", "names.csv: not UTF-8"),
+    ])
+    def test_bad_name_table_exits_2(self, fixture_dir, tmp_path, capsys, row, message):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        names = tmp_path / "names.csv"
+        names.write_bytes(b"k,cluster,raw_name,unique_name,backend\n1,0,a,a,fallback\n" + row)
+        assert main(["sankey", "--out", str(out), "--names", str(names)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, loads", [
         ({"n_init": 1, "init_method": "kmeans"}, True),
         ({"n_init": 5}, False),
@@ -539,6 +559,45 @@ class TestIdRule:
         assert code == 2
         assert f"row 1: id {row_id!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+class TestImportBoundary:
+    """What a fresh process imports: scipy only for an EMI, requests only for the HTTP backend."""
+
+    PROBE = (
+        "import sys\n"
+        "{body}\n"
+        "loaded = sorted({{m.partition('.')[0] for m in sys.modules}} & {{'scipy', 'requests'}})\n"
+        "print(','.join(loaded))\n"
+    )
+
+    def loaded(self, body: str) -> str:
+        env = {**os.environ, "PYTHONPATH": str(Path(clustersweep.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("module", ["clustersweep", "clustersweep.cli"])
+    def test_import_loads_neither(self, module):
+        assert self.loaded(f"import {module}") == ""
+
+    def test_sankey_and_fallback_naming_load_neither(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        for argv in (["sankey", "--out", str(out)],
+                     ["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                      "--fallback"]):
+            body = f"from clustersweep.cli import main\nassert main({argv!r}) == 0"
+            assert self.loaded(body) == "", argv
+
+    def test_an_emi_loads_scipy(self):
+        body = ("from clustersweep.data import ContingencyTable\n"
+                "from clustersweep.metrics import expected_mutual_information\n"
+                "expected_mutual_information(ContingencyTable([[2, 1], [0, 3]]))")
+        assert self.loaded(body) == "scipy"
 
 
 def _archive_digests(out: Path) -> dict[str, str]:

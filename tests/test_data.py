@@ -284,6 +284,53 @@ class TestIdRule:
         assert m.ids == ("a",) and m.values.tolist() == [[1.0, 2.0]]
 
 
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda a, b: f"{a}_{b}", st.integers(0, 999), st.integers(0, 999)),
+    st.builds(lambda a, b: f"{a}_{b}.5e-3", st.integers(1, 9), st.integers(0, 99)),
+)
+
+
+class TestCsvValues:
+    """The CSV reader converts the whole value block at once; each value is float() of its token."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.lists(TOKENS, min_size=d, max_size=d), min_size=1, max_size=5)),
+        pad=st.sampled_from(["", " ", "  ", "\t"]), has_ids=st.booleans())
+    def test_values_are_bit_identical_to_float_of_each_token(self, rows, pad, has_ids):
+        header = ",".join(["id"] * has_ids + [f"e{c}" for c in range(len(rows[0]))])
+        lines = [header] + [
+            ",".join([f"r{r}"] * has_ids + [pad + token + pad for token in tokens])
+            for r, tokens in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            m = load_embeddings(path, "csv")
+        expected = np.array([[float(t) for t in tokens] for tokens in rows], dtype=np.float64)
+        assert m.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", ["oops", "", " ", "0x10", "1__5", "1.0.0"])
+    @pytest.mark.parametrize("row, col", [(0, 0), (2, 1), (3, 2)])
+    def test_bad_token_is_named_by_row_and_column(self, tmp_path, token, row, col):
+        values = [["1.5", "2.5", "3.5"] for _ in range(4)]
+        values[3][2] = "nan"  # a later fault, which must not be the one reported
+        values[row][col] = token
+        lines = ["id,e0,e1,e2"] + [f"r{r}," + ",".join(v) for r, v in enumerate(values)]
+        (tmp_path / "e.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"row {row}, column {col}: not a number"):
+            load_embeddings(tmp_path / "e.csv", "csv")
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", " NaN ", "1e400"])
+    def test_non_finite_token_is_named_by_row_and_column(self, tmp_path, token):
+        lines = ["id,e0,e1,e2", "a,1,2,3", "b,4,5,6", f"c,7,8,{token}", "d,oops,1,1"]
+        (tmp_path / "e.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(NonFiniteValue) as exc:
+            load_embeddings(tmp_path / "e.csv", "csv")
+        assert (exc.value.row, exc.value.col) == (2, 2)
+
+
 class TestPartitionIO:
     def test_round_trip(self, tmp_path):
         part = make_partition([0, 2, 1, 2], k=3, ids=("a", "b", "c", "d"))

@@ -331,7 +331,61 @@ class TestModelValidation:
                 GmmConfig(k=1, reg_covar=bad)
 
 
+def _reference_render(obj) -> str:
+    """The model writer's per-value rendering, which its array fast path must match byte for byte."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, list):
+        return "[" + ", ".join(_reference_render(x) for x in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_reference_render(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(type(obj))
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 3.0, -7.0, 1e300, 0.1]
+
+
 class TestModelSerialization:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_equal_the_per_value_rendering(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        k, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        scale = 10.0 ** rng.integers(-300, 300, size=(k, d))
+        means = rng.normal(size=(k, d)) * scale
+        variances = rng.uniform(0.5, 2.0, size=(k, d)) * scale
+        weights = rng.dirichlet(np.ones(k))
+        # Specials in some rows only, so both the whole-row and the per-value path run.
+        for _ in range(int(rng.integers(0, 2 * k))):
+            r, c = int(rng.integers(k)), int(rng.integers(d))
+            means[r, c] = SPECIAL_VALUES[int(rng.integers(len(SPECIAL_VALUES)))]
+            variances[r, c] = rng.choice([math.nan, math.inf, 5e-324, 4.0])
+        if seed % 2:
+            weights = np.zeros(k)
+            weights[0] = 1.0
+            weights[1:] = -0.0
+        model = MixtureModel(k=k, weights=weights, means=means, variances=variances,
+                             converged=bool(seed % 2), n_iter=seed,
+                             final_log_likelihood=SPECIAL_VALUES[seed])
+        config = GmmConfig(k=k, seed=seed)
+        save_model(model, config, tmp_path / "m.json")
+        doc = {
+            "k": k,
+            "weights": model.weights.tolist(),
+            "means": model.means.tolist(),
+            "variances": model.variances.tolist(),
+            "config": config.to_dict(),
+            "final_log_likelihood": model.final_log_likelihood,
+            "n_iter": model.n_iter,
+            "converged": model.converged,
+        }
+        assert (tmp_path / "m.json").read_text() == _reference_render(doc) + "\n"
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         data = make_matrix(rng.normal(size=(40, 3)))

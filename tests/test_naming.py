@@ -210,7 +210,7 @@ class TestHttpBackend:
             captured.update(url=url, payload=json, headers=headers, timeout=timeout)
             return FakeResponse()
 
-        monkeypatch.setattr("clustersweep.naming.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         backend = HttpBackend("https://svc.example/name", model="m1",
                               response_path="choices.0.text")
         raw = backend.generate(profile(), "PROMPT")
@@ -230,7 +230,7 @@ class TestHttpBackend:
 
         monkeypatch.setenv("CLUSTERSWEEP_API_TOKEN", "sekret")
         monkeypatch.setattr(
-            "clustersweep.naming.requests.post",
+            "requests.post",
             lambda url, json=None, headers=None, timeout=None: (
                 captured.update(headers=headers),
                 FakeResponse(),
@@ -248,7 +248,7 @@ class TestHttpBackend:
             calls["n"] += 1
             raise requests_module.ConnectionError("refused")
 
-        monkeypatch.setattr("clustersweep.naming.requests.post", failing_post)
+        monkeypatch.setattr("requests.post", failing_post)
         sleeps = []
         monkeypatch.setattr("clustersweep.naming.time.sleep", sleeps.append)
         backend = HttpBackend("https://svc.example")
@@ -265,7 +265,7 @@ class TestHttpBackend:
                 return {"other": "x"}
 
         monkeypatch.setattr(
-            "clustersweep.naming.requests.post",
+            "requests.post",
             lambda *a, **kw: FakeResponse(),
         )
         with pytest.raises(MalformedResponse):
@@ -285,6 +285,19 @@ class TestNameTableIO:
         (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParseError):
             load_name_table(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("row", ["x,0,5,foo", "3,c1,5,foo", "3,,5,foo"])
+    def test_non_integer_k_or_cluster_names_the_row(self, tmp_path, row):
+        path = tmp_path / "names.csv"
+        path.write_text(f"k,cluster,raw_name,unique_name,backend\n3,0,a,a,fallback\n{row}\n")
+        with pytest.raises(ParseError, match=r"names\.csv: row 1: k and cluster must be integers"):
+            load_name_table(path)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_bytes(b"k,cluster,raw_name,unique_name,backend\n3,0,a\xff,a\xff,fallback\n")
+        with pytest.raises(ParseError, match=r"names\.csv: not UTF-8"):
+            load_name_table(path)
 
 
 class TestConfigFiles:

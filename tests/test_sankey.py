@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from clustersweep.errors import InsufficientResolutions
+from clustersweep.errors import InsufficientResolutions, ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import run_sweep
 from clustersweep.sankey import (
@@ -141,6 +141,31 @@ class TestJsonExport:
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["edges"] == []
         assert load_graph(tmp_path / "g.json") == g
+
+
+class TestLoadGraphErrors:
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["nodes"][0].pop("cluster"),
+        lambda doc: doc["nodes"].append("K9-C0"),
+        lambda doc: doc["edges"].append({"source": "K9-C0", "target": "K1-C0", "flow": 1}),
+        lambda doc: doc.pop("threshold"),
+        lambda doc: doc.update(nodes=[], edges=[]),
+    ], ids=["node without cluster", "node not an object", "edge to no node",
+            "no threshold", "no nodes"])
+    def test_malformed_graph_is_a_parse_error(self, blob_sweep, tmp_path, edit):
+        _, result = blob_sweep
+        export_json(build_graph(result, threshold=25), tmp_path / "g.json")
+        doc = json.loads((tmp_path / "g.json").read_text())
+        edit(doc)
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="g.json"):
+            load_graph(tmp_path / "g.json")
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'"graph"', b"null", b'{"version": 1\xff}'])
+    def test_non_object_or_non_utf8_document_is_a_parse_error(self, tmp_path, content):
+        (tmp_path / "g.json").write_bytes(content)
+        with pytest.raises(ParseError, match="g.json"):
+            load_graph(tmp_path / "g.json")
 
 
 class TestColors:
