@@ -13,10 +13,12 @@ import functools
 import json
 import math
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -247,12 +249,14 @@ def m_step(resp: np.ndarray, data: EmbeddingMatrix, reg_covar: float) -> Mixture
     return MixtureModel(k=resp.shape[1], weights=weights, means=means, variances=variances)
 
 
-def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++ (Arthur & Vassilvitskii 2007).
+def _kmeans_plus_plus(X: np.ndarray, n_trials: int, rng: np.random.Generator) -> Iterator[int]:
+    """Greedy k-means++ (Arthur & Vassilvitskii 2007): the row index of each next center.
 
     Each step draws ``n_trials`` candidates with probability proportional to
     the squared distance to the closest center and keeps the first one whose
-    potential, the sum of those distances once it is added, is lowest.
+    potential, the sum of those distances once it is added, is lowest. A step
+    draws from ``rng`` only when its center is asked for, so the first k
+    centers are those of seeding k, whatever k is asked for later.
 
     One matrix product ranks all candidates, as in scikit-learn's batched
     ``_kmeans_plusplus``. Candidates within its rounding bound of the lowest
@@ -261,7 +265,6 @@ def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     draw are those of scoring each candidate exactly.
     """
     n, d = X.shape
-    n_trials = 2 + int(math.log(k))
     x_sq = np.sum(X * X, axis=1)
     # |product potential - exact potential| <= bound[c]: per entry the two
     # forms differ by at most 2 (d + 2) eps (|x_i|^2 + |x_c|^2), and the two
@@ -272,11 +275,10 @@ def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     def sq_dist(idx: int) -> np.ndarray:
         return np.sum((X - X[idx]) ** 2, axis=1)
 
-    centers = np.empty((k, d), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    closest_sq = sq_dist(first)
-    for j in range(1, k):
+    best = int(rng.integers(n))
+    yield best
+    closest_sq = sq_dist(best)
+    while True:
         total = closest_sq.sum()
         if total > 0:
             candidates = rng.choice(n, size=n_trials, p=closest_sq / total)
@@ -291,9 +293,52 @@ def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         if np.unique(contenders).size > 1:
             exact = [np.minimum(closest_sq, sq_dist(idx)).sum() for idx in contenders]
             best = int(contenders[np.argmin(exact)])  # the first minimum in draw order
-        centers[j] = X[best]
+        yield best
         closest_sq = np.minimum(closest_sq, sq_dist(best))
-    return centers
+
+
+class _SeedingPlan:
+    """The k-means++ centers of one (data, seed, n_trials), drawn as far as asked.
+
+    ``n_trials = 2 + int(log k)`` is the same for k = 1-2, 3-7, 8-20, ...,
+    and nothing else draws from a fit's generator, so every k of one group
+    takes the first k centers of one plan.
+    """
+
+    def __init__(self, X: np.ndarray, seed: int, n_trials: int):
+        # The first child of the seed, as older versions drew one child per
+        # initialization: default_rng(seed) itself would change every partition.
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        self._steps = _kmeans_plus_plus(X, n_trials, rng)
+        self._rows: list[int] = []
+        self._lock = threading.Lock()
+
+    def first(self, k: int) -> list[int]:
+        """Row indices of the first k centers; concurrent callers wait for one another."""
+        with self._lock:
+            while len(self._rows) < k:
+                self._rows.append(next(self._steps))
+            return self._rows[:k]
+
+
+# id(data) -> (seed, {n_trials: plan}): the plans of the last seed fitted on
+# each live EmbeddingMatrix. Kept beside the data, not on it, so that what the
+# data pickles, copies and compares equal to does not change.
+_plans: dict[int, tuple[int, dict[int, _SeedingPlan]]] = {}
+_plans_lock = threading.Lock()
+
+
+def _seeding_plan(data: EmbeddingMatrix, seed: int, n_trials: int) -> _SeedingPlan:
+    with _plans_lock:
+        entry = _plans.get(id(data))
+        if entry is None:
+            weakref.finalize(data, _plans.pop, id(data), None)
+        if entry is None or entry[0] != seed:
+            entry = _plans[id(data)] = (seed, {})
+        plans = entry[1]
+        if n_trials not in plans:
+            plans[n_trials] = _SeedingPlan(data.values, seed, n_trials)
+        return plans[n_trials]
 
 
 def _lloyd_labels(X: np.ndarray, centers: np.ndarray, max_rounds: int = 10) -> np.ndarray:
@@ -346,11 +391,10 @@ def fit(
         raise InsufficientData(f"n={n} rows cannot support k={config.k} components")
     _pin_blas()
 
-    # The first child of the seed, as older versions drew one child per
-    # initialization: default_rng(seed) itself would change every partition.
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     # One start: k-means++ seeding plus Lloyd rounds, turned into a first M step.
-    labels = _lloyd_labels(X, _kmeans_plus_plus(X, config.k, rng))
+    # Lloyd moves the centers in place: X[rows] is a copy of the plan's rows.
+    plan = _seeding_plan(data, config.seed, 2 + int(math.log(config.k)))
+    labels = _lloyd_labels(X, X[plan.first(config.k)])
     # X * X for every E- and M-step, made after seeding so that it never adds
     # to seeding's own n x d temporaries.
     X2 = X * X

@@ -7,6 +7,8 @@ relabeling and AMI is bit-identical under argument swap.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +101,59 @@ def mutual_information(t: ContingencyTable) -> float:
     return max(0.0, _sorted_sum(terms))
 
 
+# The Stirling-series coefficients of cephes ``lgam`` (scipy's ``gammaln``)
+# for 13 <= x < 1000, highest power first, and log(sqrt(2 pi)).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LS2PI = 0.91893853320467274178
+
+_log_factorial_table = np.zeros(1)  # _log_factorial_table[m] == log(m!)
+_log_factorial_lock = threading.Lock()
+
+
+def _log_gamma(x: int) -> float:
+    """log Gamma(x) at an integer x >= 1, bit for bit as cephes ``lgam`` computes it.
+
+    Below 13 it is the log of the exact product (x - 1)!; above, the Stirling
+    series, whose tail becomes a fixed three-term polynomial from 1000 on and
+    is dropped past 1e8. ``math.log`` is the C library's log, which cephes
+    calls too.
+    """
+    if x < 13:
+        return math.log(math.factorial(x - 1))
+    x = float(x)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """An array whose entry m is log(m!), for m = 0..n at least.
+
+    One table per process, grown on demand: every AMI of a run shares it.
+    """
+    global _log_factorial_table
+    with _log_factorial_lock:
+        table = _log_factorial_table
+        if table.size <= n:
+            grown = [_log_gamma(m + 1) for m in range(table.size, n + 1)]
+            table = _log_factorial_table = np.concatenate([table, grown])
+    return table
+
+
 def expected_mutual_information(t: ContingencyTable) -> float:
     """Expected MI under random label assignment with fixed marginals.
 
@@ -107,38 +162,33 @@ def expected_mutual_information(t: ContingencyTable) -> float:
     is weighted by its hypergeometric probability, computed via log-factorials.
     Equals the average MI over all total! equally likely item relabelings of
     one side.
-    """
-    # Imported here, so that only a process that computes an EMI pays for scipy.
-    from scipy.special import gammaln
 
+    The terms of one row size ``a`` are computed in one pass over all column
+    sizes; each pair's terms are summed on their own, then the pair totals in
+    sorted order, so the value is that of a loop over the pairs.
+    """
     n = t.total
     if n < 1:
         return 0.0
-    # gln[x + 1] == log(x!)
-    gln = gammaln(np.arange(n + 2, dtype=np.float64))
-    log_n = np.log(float(n))
-    a_sizes = [int(x) for x in t.row_sums if x > 0]
-    b_sizes = [int(x) for x in t.col_sums if x > 0]
+    lf = _log_factorials(n)
+    b = t.col_sums[t.col_sums > 0].astype(np.int64)
     cell_totals = []
-    for a in a_sizes:
-        for b in b_sizes:
-            start = max(1, a + b - n)
-            end = min(a, b)
-            if end < start:
-                continue
-            nij = np.arange(start, end + 1, dtype=np.int64)
-            # Pairwise (a, b)-symmetric groupings keep the value bit-identical
-            # under transposition of the table.
-            base = (gln[a + 1] + gln[b + 1]) + (gln[n - a + 1] + gln[n - b + 1]) - gln[n + 1]
-            log_pmf = (
-                base
-                - gln[nij + 1]
-                - (gln[a - nij + 1] + gln[b - nij + 1])
-                - gln[n - a - b + nij + 1]
-            )
-            nij_f = nij.astype(np.float64)
-            terms = (nij_f / n) * np.log((n * nij_f) / float(a * b)) * np.exp(log_pmf)
-            cell_totals.append(terms.sum())
+    for a in (int(x) for x in t.row_sums if x > 0):
+        start = np.maximum(1, a + b - n)
+        length = np.minimum(a, b) - start + 1  # >= 1, as 0 < a, b <= n
+        ends = np.cumsum(length)
+        offsets = ends - length
+        # Pair p owns entries offsets[p]:ends[p] of every array below.
+        pair = np.repeat(np.arange(b.size), length)
+        nij = start[pair] + (np.arange(ends[-1]) - offsets[pair])
+        bp = b[pair]
+        # Pairwise (a, b)-symmetric groupings keep the value bit-identical
+        # under transposition of the table.
+        base = ((lf[a] + lf[b]) + (lf[n - a] + lf[n - b]) - lf[n])[pair]
+        log_pmf = base - lf[nij] - (lf[a - nij] + lf[bp - nij]) - lf[n - a - bp + nij]
+        nij_f = nij.astype(np.float64)
+        terms = (nij_f / n) * np.log((n * nij_f) / (a * bp).astype(np.float64)) * np.exp(log_pmf)
+        cell_totals += [terms[o:e].sum() for o, e in zip(offsets.tolist(), ends.tolist())]
     return _sorted_sum(np.asarray(cell_totals, dtype=np.float64))
 
 

@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import build_contingency
+from .data import ContingencyTable, build_contingency
 from .errors import InsufficientResolutions, ParseError
-from .metrics import proportional_stability
+from .metrics import stability_from_table
 from .pipeline import SweepResult
 
 # Stability color ramp endpoints (dark blue -> light yellow).
@@ -103,6 +103,12 @@ def build_graph(
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     names = names or {}
+    # tables[k] counts the items of each (cluster at k, cluster at k+1): the
+    # edges out of k, and transposed, the parentage of the clusters at k+1.
+    tables = {
+        k: build_contingency(result.partitions[k], result.partitions[k + 1])
+        for k in range(result.k_min, result.k_max)
+    }
 
     nodes = []
     for k in range(result.k_min, result.k_max + 1):
@@ -110,7 +116,7 @@ def build_graph(
         if k == result.k_min:
             ratios = {c: 1.0 for c in range(len(sizes))}
         else:
-            stability = proportional_stability(result.partitions[k], result.partitions[k - 1])
+            stability = stability_from_table(ContingencyTable(tables[k - 1].counts.T))
             ratios = {cs.cluster: cs.ratio for cs in stability.per_cluster}
         occupied = [c for c in range(len(sizes)) if sizes[c] > 0]
         for c in sorted(occupied, key=lambda c: (-int(sizes[c]), c)):
@@ -126,8 +132,7 @@ def build_graph(
 
     edges = []
     dropped = []
-    for k in range(result.k_min, result.k_max):
-        table = build_contingency(result.partitions[k], result.partitions[k + 1])
+    for k, table in tables.items():
         removed = 0
         for i in range(table.counts.shape[0]):
             for j in range(table.counts.shape[1]):

@@ -562,13 +562,13 @@ class TestIdRule:
 
 
 class TestImportBoundary:
-    """What a fresh process imports: scipy only for an EMI, requests only for the HTTP backend."""
+    """What a fresh process imports: never scipy, and requests only for the HTTP backend."""
 
     PROBE = (
         "import sys\n"
         "{body}\n"
         "loaded = sorted({{m.partition('.')[0] for m in sys.modules}} & {{'scipy', 'requests'}})\n"
-        "print(','.join(loaded))\n"
+        "print('loaded=' + ','.join(loaded))\n"
     )
 
     def loaded(self, body: str) -> str:
@@ -578,7 +578,8 @@ class TestImportBoundary:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
+        # The last line: a stage prints its own report before it.
+        return proc.stdout.splitlines()[-1].removeprefix("loaded=")
 
     @pytest.mark.parametrize("module", ["clustersweep", "clustersweep.cli"])
     def test_import_loads_neither(self, module):
@@ -593,11 +594,20 @@ class TestImportBoundary:
             body = f"from clustersweep.cli import main\nassert main({argv!r}) == 0"
             assert self.loaded(body) == "", argv
 
-    def test_an_emi_loads_scipy(self):
+    def test_emi_sweep_and_stability_load_neither(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        sweep = ["sweep", "--input", str(fixture_dir / "emb.csv"), "--out", str(out),
+                 "--k-max", "4"]
+        stability = ["stability", "--out", str(out), "--k-max", "4", "--kinds", "dimensions",
+                     "rows", "seeds", "--reps", "1", "--seed-lo", "1", "--seed-hi", "1"]
         body = ("from clustersweep.data import ContingencyTable\n"
                 "from clustersweep.metrics import expected_mutual_information\n"
-                "expected_mutual_information(ContingencyTable([[2, 1], [0, 3]]))")
-        assert self.loaded(body) == "scipy"
+                "assert expected_mutual_information(ContingencyTable([[2, 1], [0, 3]])) > 0\n"
+                "from clustersweep.cli import main\n"
+                f"assert main({sweep!r}) == 0\n"
+                f"assert main({stability!r}) == 0")
+        assert self.loaded(body) == ""
+        assert (out / "stability_combined.csv").exists()
 
 
 def _archive_digests(out: Path) -> dict[str, str]:

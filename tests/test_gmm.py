@@ -1,12 +1,19 @@
+import copy
 import ctypes
+import gc
+import itertools
 import json
 import math
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from clustersweep.data import EmbeddingMatrix
 from clustersweep.errors import DimensionMismatch, InsufficientData, ParseError
 import clustersweep.gmm
 from clustersweep.gmm import (
@@ -16,6 +23,8 @@ from clustersweep.gmm import (
     _kmeans_plus_plus,
     _logsumexp_rows,
     _pin_blas,
+    _plans,
+    _seeding_plan,
     e_step,
     fit,
     load_model,
@@ -25,7 +34,7 @@ from clustersweep.gmm import (
 )
 from clustersweep.metrics import ami
 
-from conftest import make_blobs, make_matrix, make_partition
+from conftest import make_blobs, make_matrix, make_partition, spread_centers
 
 
 class TestLogDensityDiag:
@@ -246,6 +255,15 @@ def _degenerate_inputs():
     }
 
 
+def _n_trials(k):
+    return 2 + int(math.log(k))
+
+
+def _fit_rng(seed):
+    """The generator a fit seeds from: the first child of its seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
 class TestSeeding:
     @pytest.mark.parametrize("name", sorted(_degenerate_inputs()))
     def test_matches_per_candidate_reference(self, name):
@@ -254,9 +272,129 @@ class TestSeeding:
         X = _degenerate_inputs()[name]
         for seed in range(40):
             for k in range(1, X.shape[0] + 1):
-                got = _kmeans_plus_plus(X, k, np.random.default_rng(seed))
+                steps = _kmeans_plus_plus(X, _n_trials(k), np.random.default_rng(seed))
+                got = X[list(itertools.islice(steps, k))]
                 want = _kmeans_plus_plus_reference(X, k, np.random.default_rng(seed))
                 assert np.array_equal(got, want), (name, seed, k)
+
+
+class TestSeedingPlan:
+    """Every K of one n_trials group seeds from one plan per (data, seed)."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("name", sorted(_degenerate_inputs()))
+    def test_prefix_matches_per_k_seeding(self, name, order):
+        # Duplicate rows, all-equal rows (no distance left to draw by), k up to n.
+        X = _degenerate_inputs()[name]
+        ks = range(1, min(20, X.shape[0]) + 1)
+        for seed in range(5):
+            data = make_matrix(X)
+            for k in (ks if order == "ascending" else reversed(ks)):
+                got = X[_seeding_plan(data, seed, _n_trials(k)).first(k)]
+                want = _kmeans_plus_plus_reference(X, k, _fit_rng(seed))
+                assert np.array_equal(got, want), (name, seed, k)
+
+    def test_fit_starts_from_the_per_k_seeding(self, monkeypatch):
+        X = np.random.default_rng(7).normal(size=(40, 3))
+        data = make_matrix(X)
+        starts = {}
+        lloyd = clustersweep.gmm._lloyd_labels
+
+        def recording_lloyd(X, centers):
+            starts[centers.shape[0]] = centers.copy()
+            return lloyd(X, centers)
+
+        monkeypatch.setattr(clustersweep.gmm, "_lloyd_labels", recording_lloyd)
+        for k in range(12, 0, -1):
+            fit(data, GmmConfig(k=k, seed=4, max_iter=1))
+        for k, centers in starts.items():
+            assert np.array_equal(centers, _kmeans_plus_plus_reference(X, k, _fit_rng(4))), k
+
+    def test_threads_sharing_plans_get_the_per_k_seeding(self):
+        X = np.random.default_rng(6).normal(size=(60, 4))
+        data = make_matrix(X)
+        ks = [k for k in range(20, 0, -1) for _ in range(3)]
+        got = {}
+
+        def worker(offset):
+            for k in ks[offset::8]:
+                got[offset, k] = X[_seeding_plan(data, 2, _n_trials(k)).first(k)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == len(ks)
+        for (_, k), centers in got.items():
+            assert np.array_equal(centers, _kmeans_plus_plus_reference(X, k, _fit_rng(2))), k
+
+    def test_model_bytes_do_not_depend_on_fit_order(self, tmp_path):
+        data, _ = make_blobs(spread_centers(5, 16, 6.0), n_per=40, sigma=1.0, seed=9)
+        ks = range(1, 13)
+        config = GmmConfig(k=1, seed=3)
+
+        def model_bytes(label, fits):
+            out = {}
+            for k, (model, _) in fits:
+                path = tmp_path / f"{label}_{k}.json"
+                save_model(model, config.with_k(k), path)
+                out[k] = path.read_bytes()
+            return out
+
+        def fresh():
+            return EmbeddingMatrix(data.ids, data.values)
+
+        # A new data object per K: each fit seeds from a plan of its own.
+        cold = model_bytes("cold", [(k, fit(fresh(), config.with_k(k))) for k in ks])
+        runs = {}
+        for label, order in (("ascending", ks), ("descending", ks[::-1])):
+            same = fresh()
+            runs[label] = model_bytes(label, [(k, fit(same, config.with_k(k))) for k in order])
+        same = fresh()
+        fits = clustersweep.gmm._map_ordered(lambda k: fit(same, config.with_k(k)), ks[::-1], 2)
+        runs["jobs=2"] = model_bytes("jobs2", zip(ks[::-1], fits))
+        warm = fresh()
+        for n_trials in {_n_trials(k) for k in ks}:
+            _seeding_plan(warm, config.seed, n_trials).first(20)
+        runs["warm"] = model_bytes("warm", [(k, fit(warm, config.with_k(k))) for k in ks])
+        for label, got in runs.items():
+            assert got == cold, label
+
+    def test_fitted_data_pickles_copies_and_compares_as_before(self):
+        data = make_matrix(np.random.default_rng(4).normal(size=(30, 3)))
+        pickled = pickle.dumps(data)
+        for k in (1, 3, 8):
+            fit(data, GmmConfig(k=k))
+        assert pickle.dumps(data) == pickled
+        assert vars(data).keys() == {"ids", "values"}
+        copied = copy.deepcopy(data)
+        assert vars(copied).keys() == {"ids", "values"}
+        assert copied.ids == data.ids and np.array_equal(copied.values, data.values)
+        assert data == data
+        one = make_matrix([[1.5]])
+        fit(one, GmmConfig(k=1))
+        assert one == copy.deepcopy(one) == pickle.loads(pickle.dumps(one))
+
+    def test_a_new_seed_drops_the_older_seeds_plans(self):
+        data = make_matrix(np.random.default_rng(5).normal(size=(30, 3)))
+        fit(data, GmmConfig(k=3, seed=0))
+        fit(data, GmmConfig(k=8, seed=0))
+        seed, plans = _plans[id(data)]
+        assert seed == 0 and sorted(plans) == [3, 4]
+        fit(data, GmmConfig(k=3, seed=1))
+        seed, plans = _plans[id(data)]
+        assert seed == 1 and sorted(plans) == [3]
+        key = id(data)
+        del data
+        gc.collect()
+        assert key not in _plans
 
 
 class TestLogSumExp:

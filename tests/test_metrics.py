@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from clustersweep.data import ContingencyTable, build_contingency
 from clustersweep.errors import MismatchedItems
 from clustersweep.metrics import (
+    _log_factorials,
+    _log_gamma,
+    _sorted_sum,
     ami,
     entropy,
     expected_mutual_information,
@@ -132,6 +138,68 @@ class TestExpectedMutualInformation:
             assert expected_mutual_information(t) == pytest.approx(
                 emi_permutation(u, v), abs=1e-9
             )
+
+
+def emi_per_pair(t):
+    """The EMI as a loop over marginal pairs with scipy's gammaln: the reference bits."""
+    n = t.total
+    if n < 1:
+        return 0.0
+    gln = gammaln(np.arange(n + 2, dtype=np.float64))
+    cell_totals = []
+    for a in [int(x) for x in t.row_sums if x > 0]:
+        for b in [int(x) for x in t.col_sums if x > 0]:
+            nij = np.arange(max(1, a + b - n), min(a, b) + 1, dtype=np.int64)
+            base = (gln[a + 1] + gln[b + 1]) + (gln[n - a + 1] + gln[n - b + 1]) - gln[n + 1]
+            log_pmf = (
+                base
+                - gln[nij + 1]
+                - (gln[a - nij + 1] + gln[b - nij + 1])
+                - gln[n - a - b + nij + 1]
+            )
+            nij_f = nij.astype(np.float64)
+            terms = (nij_f / n) * np.log((n * nij_f) / float(a * b)) * np.exp(log_pmf)
+            cell_totals.append(terms.sum())
+    return _sorted_sum(np.asarray(cell_totals, dtype=np.float64))
+
+
+TABLES = st.integers(1, 7).flatmap(lambda rows: st.integers(1, 7).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(0, 60), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows)))
+
+
+class TestEmiBits:
+    """The batched EMI carries the bits of the per-pair loop over scipy's gammaln."""
+
+    def test_log_factorials_match_gammaln(self):
+        table = _log_factorials(200_000)
+        assert np.array_equal(table[:200_001], gammaln(np.arange(1, 200_002, dtype=np.float64)))
+
+    @pytest.mark.parametrize("x", [1, 2, 12, 13, 999, 1000, 1001, 10**8, 10**8 + 1])
+    def test_log_gamma_at_branch_edges(self, x):
+        assert _log_gamma(x) == gammaln(float(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=TABLES)
+    @example(counts=[[1]])  # n = 1
+    @example(counts=[[7]])
+    @example(counts=[[0, 1], [0, 0]])  # n = 1, empty rows and columns
+    @example(counts=[[0, 0, 0], [4, 0, 2], [0, 0, 0]])
+    @example(counts=[[0, 4, 0], [3, 0, 0], [0, 0, 2]])  # one-to-one
+    @example(counts=[[5, 1], [1, 0]])  # a + b - n > 1
+    def test_batched_emi_matches_per_pair_loop(self, counts):
+        t = ContingencyTable(np.array(counts, dtype=np.int64))
+        assert expected_mutual_information(t) == emi_per_pair(t)
+
+    def test_batched_emi_matches_per_pair_loop_on_large_tables(self):
+        # Pair supports of hundreds of terms, summed in more than one block.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rows, cols = rng.integers(2, 21, size=2)
+            n = int(rng.integers(500, 5000))
+            counts = rng.multinomial(n, rng.dirichlet(np.full(rows * cols, 0.5)))
+            t = ContingencyTable(counts.reshape(rows, cols))
+            assert expected_mutual_information(t) == emi_per_pair(t)
 
 
 class TestAmi:

@@ -4,8 +4,11 @@ import re
 import numpy as np
 import pytest
 
+import clustersweep.metrics
+import clustersweep.sankey
 from clustersweep.errors import InsufficientResolutions, ParseError
 from clustersweep.gmm import GmmConfig
+from clustersweep.metrics import proportional_stability
 from clustersweep.pipeline import run_sweep
 from clustersweep.sankey import (
     RAMP_DARK,
@@ -44,6 +47,23 @@ class TestBuildGraph:
             if node.k < g.k_max:
                 assert sum(e.flow for e in outgoing(g, node)) == node.size
         assert all(items == 0 for _, items in g.dropped_flow)
+
+    def test_one_table_per_transition_gives_each_node_its_parentage(
+        self, blob_sweep, monkeypatch
+    ):
+        _, result = blob_sweep
+        calls = []
+        real = clustersweep.sankey.build_contingency
+        for module in (clustersweep.sankey, clustersweep.metrics):
+            monkeypatch.setattr(module, "build_contingency",
+                                lambda a, b: calls.append(1) or real(a, b))
+        g = build_graph(result, threshold=0)
+        assert len(calls) == result.k_max - result.k_min
+        for node in g.nodes:
+            if node.k > g.k_min:
+                ratios = proportional_stability(result.partitions[node.k],
+                                                result.partitions[node.k - 1]).per_cluster
+                assert node.stability == {c.cluster: c.ratio for c in ratios}[node.cluster]
 
     def test_threshold_above_n_drops_everything(self, blob_sweep):
         data, result = blob_sweep
