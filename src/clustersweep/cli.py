@@ -41,6 +41,11 @@ KIND_TOKENS = {
 }
 
 COMMANDS = ("sweep", "stability", "sankey", "name")
+# The stages that load the embedding file and fit on it (input, format, jobs), and
+# those that read the fit settings: name samples texts with the seed and rejects
+# settings that contradict the archive.
+READ_INPUT = ("sweep", "stability")
+READ_FIT = ("sweep", "stability", "name")
 
 # Exit code per error type; the first match wins.
 EXIT_CODES = (
@@ -72,16 +77,16 @@ def _scalar(annotation: str) -> type:
 class RunConfig:
     """Effective settings for one run, each with its flag; defaults mirror the reference protocol."""
 
-    input: str | None = _setting(None, "embedding file")
-    format: str = _setting("csv", "embedding file format: csv or bin")
+    input: str | None = _setting(None, "embedding file", *READ_INPUT)
+    format: str = _setting("csv", "embedding file format: csv or bin", *READ_INPUT)
     out: str = _setting("clustersweep-run", "run archive directory")
     k_min: int = _setting(1, "lowest cluster count")
     k_max: int = _setting(20, "highest cluster count")
-    seed: int = _setting(0, "base RNG seed for fits")
-    max_iter: int = _setting(2000, "EM iteration cap")
-    tol: float = _setting(1e-3, "EM convergence threshold")
-    reg_covar: float = _setting(1e-6, "variance floor")
-    jobs: int = _setting(1, "worker threads for independent fits")
+    seed: int = _setting(0, "base RNG seed for fits", *READ_FIT)
+    max_iter: int = _setting(2000, "EM iteration cap", *READ_FIT)
+    tol: float = _setting(1e-3, "EM convergence threshold", *READ_FIT)
+    reg_covar: float = _setting(1e-6, "variance floor", *READ_FIT)
+    jobs: int = _setting(1, "worker threads for independent fits", *READ_INPUT)
     fraction: float = _setting(0.8, "subsample fraction", "stability")
     repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
     seed_lo: int = _setting(1, "first comparison seed", "stability")
@@ -248,9 +253,17 @@ def cmd_stability(config: RunConfig) -> int:
         references = {k: archive.partitions[k] for k in range(config.k_min, config.k_max + 1)}
         base = _archived_fit_settings(config, archive)
         if config.input is None:
-            archived = json.loads((out / "config.json").read_text(encoding="utf-8"))
+            path = out / "config.json"
+            try:
+                archived = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                raise ParseError(f"{path}: invalid JSON: {exc}") from None
+            if not isinstance(archived, dict):
+                raise ParseError(f"{path}: must be a JSON object, got {type(archived).__name__}")
             config.input = archived.get("input")
             config.format = archived.get("format", config.format)
+            if not (_fits(config.input, "str | None") and _fits(config.format, "str")):
+                raise ParseError(f"{path}: input and format must be strings")
     data = _load_input(config)
     out.mkdir(parents=True, exist_ok=True)
     k_range = (config.k_min, config.k_max)
@@ -289,12 +302,15 @@ def cmd_sankey(config: RunConfig) -> int:
 
 
 def _load_texts(path: str | Path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:
-            raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
-        return {row[0]: row[1] for row in reader if len(row) >= 2}
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:
+                raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
+            return {row[0]: row[1] for row in reader if len(row) >= 2}
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def cmd_name(config: RunConfig) -> int:

@@ -1,8 +1,9 @@
 """Shared data model: embedding matrices, partitions, contingency tables.
 
 Everything here is immutable after construction, so objects can be shared
-freely across worker threads. Item alignment between partitions is always
-by id, never by position.
+freely across worker threads. Those holding arrays compare equal only to
+themselves (``eq=False``), since array equality has no single truth value.
+Item alignment between partitions is always by id, never by position.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """Dense n x d matrix of document embeddings plus row identifiers."""
 
@@ -77,7 +78,7 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(ids=tuple(self.ids[i] for i in idx), values=self.values[idx, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Hard assignment of n items to clusters 0..k_declared-1.
 
@@ -112,7 +113,7 @@ class Partition:
         return np.flatnonzero(self.labels == cluster)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContingencyTable:
     """Overlap counts between two aligned partitions."""
 

@@ -100,7 +100,7 @@ class GmmConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Fitted diagonal-covariance mixture: weights, means, per-dimension variances."""
 
@@ -133,16 +133,6 @@ class MixtureModel:
     @property
     def d(self) -> int:
         return self.means.shape[1]
-
-
-def log_density_diag(x: np.ndarray, mean: np.ndarray, variance: np.ndarray) -> float:
-    """log N(x | mean, diag(variance)) for a single d-vector, in log space."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    variance = np.asarray(variance, dtype=np.float64)
-    if not (x.shape == mean.shape == variance.shape):
-        raise DimensionMismatch("x, mean, variance must share one shape")
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * variance) + (x - mean) ** 2 / variance))
 
 
 def _log_gaussian_matrix(
@@ -321,20 +311,18 @@ class _SeedingPlan:
             return self._rows[:k]
 
 
-# id(data) -> (seed, {n_trials: plan}): the plans of the last seed fitted on
-# each live EmbeddingMatrix. Kept beside the data, not on it, so that what the
-# data pickles, copies and compares equal to does not change.
-_plans: dict[int, tuple[int, dict[int, _SeedingPlan]]] = {}
+# data -> (seed, {n_trials: plan}): the plans of the last seed fitted on each
+# live EmbeddingMatrix. Kept beside the data, not on it, so that what the data
+# pickles and copies to does not change.
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
 
 
 def _seeding_plan(data: EmbeddingMatrix, seed: int, n_trials: int) -> _SeedingPlan:
     with _plans_lock:
-        entry = _plans.get(id(data))
-        if entry is None:
-            weakref.finalize(data, _plans.pop, id(data), None)
+        entry = _plans.get(data)
         if entry is None or entry[0] != seed:
-            entry = _plans[id(data)] = (seed, {})
+            entry = _plans[data] = (seed, {})
         plans = entry[1]
         if n_trials not in plans:
             plans[n_trials] = _SeedingPlan(data.values, seed, n_trials)

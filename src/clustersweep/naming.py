@@ -339,8 +339,12 @@ def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blank lines ignored."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in lines:
         word = line.strip().lower()
         if word:
             words.add(word)
@@ -351,7 +355,7 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
     """JSON object mapping emoji strings to replacement names."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid emoji map JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()

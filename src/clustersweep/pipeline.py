@@ -15,14 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import gmm
-from .data import (
-    ContingencyTable,
-    EmbeddingMatrix,
-    Partition,
-    build_contingency,
-    load_partition,
-    save_partition,
-)
+from .data import EmbeddingMatrix, Partition, build_contingency, load_partition, save_partition
 from .errors import ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError
 from .gmm import GmmConfig, MixtureModel
 from .metrics import AmiReport, StabilityBreakdown, ami_from_table, stability_from_table
@@ -112,17 +105,6 @@ def run_sweep(
         models=models,
         base=base.with_k(k_min),
     )
-
-
-def transition_counts(result: SweepResult, k: int) -> ContingencyTable:
-    """Item flows from clusters at resolution k (rows) to k+1 (columns).
-
-    Raises:
-        OutOfRange: unless both k and k+1 lie inside the sweep range.
-    """
-    if not (result.k_min <= k and k + 1 <= result.k_max):
-        raise OutOfRange(f"transition {k}->{k + 1} outside [{result.k_min}, {result.k_max}]")
-    return build_contingency(result.partitions[k], result.partitions[k + 1])
 
 
 def consecutive_to_json(result: SweepResult) -> list[dict]:

@@ -76,12 +76,6 @@ class SankeyGraph:
     filter_threshold: int
     dropped_flow: tuple[tuple[int, int], ...]  # (k, items dropped on k -> k+1)
 
-    def node(self, k: int, cluster: int) -> SankeyNode:
-        for n in self.nodes:
-            if n.k == k and n.cluster == cluster:
-                return n
-        raise KeyError(node_id(k, cluster))
-
 
 def build_graph(
     result: SweepResult,

@@ -49,7 +49,7 @@ class PerturbationSpec:
         return range(self.seed_range[0], self.seed_range[1] + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityCurve:
     """Mean and population-std AMI per K, plus the full repetition matrix."""
 

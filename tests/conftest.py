@@ -1,4 +1,8 @@
+import json
 import struct
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,3 +90,48 @@ def four_blob_data():
 def nested_blob_data():
     """2 super-blobs each holding 2 sub-blobs; n=1000, d=8."""
     return make_blobs(nested_centers(), n_per=250, sigma=1.0, seed=3)
+
+
+@pytest.fixture()
+def http_stub(monkeypatch):
+    """A naming service on 127.0.0.1 that answers each POST with a scripted reply.
+
+    ``stub.replies`` lists (status, body) pairs: the n-th POST gets the n-th,
+    and the last repeats; status None leaves the request unanswered until the
+    test ends. ``stub.posts`` collects the JSON payloads, ``stub.url`` is the
+    endpoint.
+    """
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    stub = SimpleNamespace(replies=[(200, b'{"name": "Stub"}')], posts=[])
+    lock = threading.Lock()
+    release = threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                stub.posts.append(payload)
+                status, body = stub.replies[min(len(stub.posts), len(stub.replies)) - 1]
+            if status is None:
+                release.wait(30)
+                return
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    stub.url = f"http://127.0.0.1:{server.server_address[1]}/name"
+    try:
+        yield stub
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

@@ -18,7 +18,7 @@ from clustersweep.data import Partition, build_contingency, save_embeddings
 from clustersweep.gmm import GmmConfig, fit
 from clustersweep.metrics import ami, expected_mutual_information, proportional_stability
 from clustersweep.naming import FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster
-from clustersweep.pipeline import run_sweep, transition_counts
+from clustersweep.pipeline import run_sweep
 from clustersweep.sankey import build_graph, export_html, export_json, load_graph
 from clustersweep.stability import (
     PerturbationSpec,
@@ -237,7 +237,7 @@ def test_criterion_05_multi_level_stability(nested_blobs):
                 f"K={comparison.k_current}: {comparison.stability.average}"
             )
         for k in range(1, 4):
-            t = transition_counts(result, k)
+            t = build_contingency(result.partitions[k], result.partitions[k + 1])
             col_sums = t.counts.sum(axis=0)
             for j in np.flatnonzero(col_sums):
                 dominant = t.counts[:, j].max() / col_sums[j]

@@ -5,8 +5,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,6 +101,14 @@ class TestConfigResolution:
         assert config.k_max == 7  # from file
         assert config.seed == 9  # flag wins
 
+    @pytest.mark.parametrize("command", ["sweep", "stability", "sankey", "name"])
+    def test_one_config_file_serves_every_stage(self, tmp_path, command):
+        doc = {**asdict(RunConfig()), "input": "emb.bin", "format": "bin", "jobs": 2}
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        args = build_parser().parse_args([command, "--config", str(tmp_path / "run.json")])
+        config = resolve_config(args)
+        assert (config.input, config.format, config.jobs) == ("emb.bin", "bin", 2)
+
     def test_unknown_config_key(self, tmp_path):
         (tmp_path / "run.json").write_text('{"mystery": 1}')
         args = build_parser().parse_args(["sweep", "--config", str(tmp_path / "run.json")])
@@ -123,19 +132,18 @@ class TestConfigResolution:
         assert all(word in err for word in named), err
 
 
-# Each subcommand's flags; --help is argparse's own.
-COMMON_FLAGS = {
-    "--help", "--config", "--input", "--format", "--out", "--k-min", "--k-max", "--seed",
-    "--max-iter", "--tol", "--reg-covar", "--jobs",
-}
-OWN_FLAGS = {
-    "sweep": set(),
-    "stability": {
+# Each subcommand's flags: only those it reads; --help is argparse's own.
+ARCHIVE_FLAGS = {"--help", "--config", "--out", "--k-min", "--k-max"}
+FIT_FLAGS = {"--seed", "--max-iter", "--tol", "--reg-covar"}
+INPUT_FLAGS = {"--input", "--format", "--jobs"}
+FLAGS = {
+    "sweep": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS,
+    "stability": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS | {
         "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi", "--master-seed",
         "--fit-reference",
     },
-    "sankey": {"--threshold", "--names"},
-    "name": {
+    "sankey": ARCHIVE_FLAGS | {"--threshold", "--names"},
+    "name": ARCHIVE_FLAGS | FIT_FLAGS | {
         "--texts", "--backend-url", "--backend-model", "--response-path", "--token-env",
         "--fallback", "--fallback-on-error", "--stopwords", "--emoji-map",
     },
@@ -168,19 +176,21 @@ class TestParser:
                 args = parser.parse_args([command, flag, *values])
                 assert getattr(args, f.name) == expected, (command, flag)
 
-    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_help_lists_the_flags(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-        assert listed == COMMON_FLAGS | OWN_FLAGS[command]
+        assert listed == FLAGS[command]
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--k-max", "x"],
         ["stability", "--kinds", "columns"],
         ["sweep", "--n-init", "3"],
-    ], ids=["bad-int", "unknown-kind", "removed-flag"])
+        ["sankey", "--jobs", "2"],
+        ["name", "--input", "emb.csv"],
+    ], ids=["bad-int", "unknown-kind", "removed-flag", "sankey-jobs", "name-input"])
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
@@ -339,6 +349,19 @@ class TestStabilityCommand:
         ])
         assert code == 0
         assert curve_means(tmp_path / "lib" / "stability_seeds.csv") == [1.0] * 8
+
+    @pytest.mark.parametrize("text", ["[1]", "{not json", '{"input": 3}'],
+                             ids=["not-an-object", "malformed", "ill-typed-input"])
+    def test_bad_archived_config_exits_2_naming_it(self, fixture_dir, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        (out / "config.json").write_text(text)
+        code = main([
+            "stability", "--out", str(out), "--k-max", "5",
+            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
+        ])
+        assert code == 2
+        assert f"{out / 'config.json'}:" in capsys.readouterr().err
 
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -520,6 +543,50 @@ class TestNameCommand:
         code = main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--texts", "--stopwords", "--emoji-map"])
+    def test_non_utf8_file_exits_2_naming_it(self, fixture_dir, tmp_path, capsys, flag):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"id,text\n0,caf\xe9\n")
+        # A repeated --texts takes the last one.
+        texts = ["--texts", str(fixture_dir / "texts.csv")]
+        assert main(["name", "--out", str(out), "--fallback", *texts, flag, str(bad)]) == 2
+        assert f"{bad}:" in capsys.readouterr().err
+
+    def test_unreachable_stub_exits_4_after_three_attempts(
+        self, fixture_dir, tmp_path, monkeypatch, capsys, http_stub
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        sleeps = []
+        monkeypatch.setattr("clustersweep.naming.time", SimpleNamespace(sleep=sleeps.append))
+        http_stub.replies = [(503, b"busy")]
+        code = main([
+            "name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+            "--backend-url", http_stub.url,
+        ])
+        assert code == 4
+        assert "after 3 attempts" in capsys.readouterr().err
+        # K=1 is named first: its one cluster's three attempts end the run.
+        assert len(http_stub.posts) == 3 and sleeps == [1.0, 2.0]
+        assert not (out / "names.csv").exists()
+
+    def test_wrong_response_path_falls_back_per_cluster(self, fixture_dir, tmp_path, http_stub):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        texts = ["--texts", str(fixture_dir / "texts.csv")]
+        assert main(["name", "--out", str(out), *texts, "--fallback"]) == 0
+        offline = (out / "names.csv").read_bytes()
+        (out / "names.csv").unlink()
+        code = main([
+            "name", "--out", str(out), *texts, "--backend-url", http_stub.url,
+            "--response-path", "choices.0.text",
+        ])
+        assert code == 0
+        assert (out / "names.csv").read_bytes() == offline
+        assert len(http_stub.posts) == len(offline.splitlines()) - 1
+
     def test_missing_text_ids_reported(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
@@ -580,6 +647,14 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         # The last line: a stage prints its own report before it.
         return proc.stdout.splitlines()[-1].removeprefix("loaded=")
+
+    def test_exports_are_the_readme_library_imports(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        block = re.search(r"from clustersweep import \(([^)]*)\)", library).group(1)
+        assert {name.strip() for name in block.split(",") if name.strip()} == set(
+            clustersweep.__all__
+        )
 
     @pytest.mark.parametrize("module", ["clustersweep", "clustersweep.cli"])
     def test_import_loads_neither(self, module):

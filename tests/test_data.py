@@ -1,3 +1,4 @@
+import copy
 import re
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustersweep.data import (
+    ContingencyTable,
     EmbeddingMatrix,
     build_contingency,
     intersect_partitions,
@@ -23,6 +25,8 @@ from clustersweep.errors import (
     NonFiniteValue,
     ParseError,
 )
+from clustersweep.gmm import MixtureModel
+from clustersweep.stability import StabilityCurve
 
 from conftest import make_matrix, make_partition, write_binary_unchecked
 
@@ -344,3 +348,26 @@ class TestPartitionIO:
         part = make_partition([0, 1], ids=("a", "b"))
         save_partition(part, tmp_path / "p.csv")
         assert (tmp_path / "p.csv").read_text() == "id,label\na,0\nb,1\n"
+
+
+# One of each frozen dataclass that holds arrays.
+ARRAY_HOLDERS = {
+    "EmbeddingMatrix": lambda: make_matrix([[1.0, 2.0], [3.0, 4.0]]),
+    "Partition": lambda: make_partition([0, 1, 1]),
+    "ContingencyTable": lambda: ContingencyTable([[1, 0], [2, 3]]),
+    "MixtureModel": lambda: MixtureModel(
+        k=2, weights=[0.5, 0.5], means=[[0.0], [1.0]], variances=[[1.0], [1.0]]
+    ),
+    "StabilityCurve": lambda: StabilityCurve(
+        kind="row_subsample", k_values=(1, 2), mean_ami=(1.0, 0.5), std_ami=(0.0, 0.1),
+        per_rep=np.array([[1.0, 0.4], [1.0, 0.6]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_equality_is_identity_and_never_raises(make):
+    x = make()
+    assert x == x
+    assert x != copy.deepcopy(x)
+    assert hash(x) == hash(x)

@@ -1,4 +1,6 @@
 import logging
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -270,6 +272,55 @@ class TestHttpBackend:
         )
         with pytest.raises(MalformedResponse):
             HttpBackend("https://svc.example", response_path="name").generate(profile(), "p")
+
+
+class TestHttpBackendOnLoopback:
+    """HttpBackend against a real HTTP server: 3 attempts, 1 s then 2 s apart."""
+
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("clustersweep.naming.time", SimpleNamespace(sleep=slept.append))
+        return slept
+
+    def test_server_error_then_success(self, http_stub, sleeps):
+        http_stub.replies = [(503, b"busy"), (200, b'{"name": "Patriots"}')]
+        assert HttpBackend(http_stub.url, model="m1").generate(profile(), "P") == "Patriots"
+        assert http_stub.posts == [{"prompt": "P", "model": "m1"}] * 2
+        assert sleeps == [1.0]
+
+    def test_client_error_is_not_retried(self, http_stub, sleeps):
+        http_stub.replies = [(404, b"{}")]
+        with pytest.raises(BackendUnavailable, match="status 404"):
+            HttpBackend(http_stub.url).generate(profile(), "P")
+        assert len(http_stub.posts) == 1 and sleeps == []
+
+    def test_timeout_is_retried(self, http_stub, sleeps, monkeypatch):
+        monkeypatch.setattr("clustersweep.naming.TIMEOUT_S", 0.2)
+        http_stub.replies = [(None, b"")]
+        with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+            HttpBackend(http_stub.url).generate(profile(), "P")
+        assert sleeps == [1.0, 2.0]
+        # The server may still be reading the last request when the client gives up.
+        deadline = time.monotonic() + 10
+        while len(http_stub.posts) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(http_stub.posts) == 3
+
+    def test_non_json_body_is_retried(self, http_stub, sleeps):
+        http_stub.replies = [(200, b"<html>name</html>")]
+        with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+            HttpBackend(http_stub.url).generate(profile(), "P")
+        assert len(http_stub.posts) == 3 and sleeps == [1.0, 2.0]
+
+    def test_wrong_response_path_is_malformed_at_once(self, http_stub, sleeps):
+        http_stub.replies = [(200, b'{"name": "Patriots"}')]
+        backend = HttpBackend(http_stub.url, response_path="choices.0.text")
+        with pytest.raises(MalformedResponse, match="choices.0.text"):
+            backend.generate(profile(), "P")
+        assert len(http_stub.posts) == 1 and sleeps == []
+        out = name_clusters([profile(cluster=0), profile(cluster=1)], backend)
+        assert [(a.raw_name, a.backend) for a in out] == [("maga patriot", "fallback")] * 2
 
 
 class TestNameTableIO:

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 import clustersweep.gmm
-from clustersweep.data import ContingencyTable
+from clustersweep.data import ContingencyTable, build_contingency
 from clustersweep.errors import ClusterSweepError, NumericFailure, OutOfRange, ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import ami, stability_from_table
-from clustersweep.pipeline import (
-    read_archive,
-    run_sweep,
-    transition_counts,
-    write_archive,
-)
+from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
 from conftest import axis_centers, make_blobs, make_partition
 
@@ -91,21 +86,21 @@ class TestRunSweep:
 class TestTransitionCounts:
     def test_k1_row_equals_k2_sizes(self, three_blob_sweep):
         _, _, result = three_blob_sweep
-        t = transition_counts(result, 1)
+        t = build_contingency(result.partitions[1], result.partitions[2])
         assert t.counts.shape[0] == 1
         assert np.array_equal(t.counts[0], result.partitions[2].cluster_sizes())
 
     def test_conservation(self, three_blob_sweep):
         data, _, result = three_blob_sweep
         for k in range(1, 4):
-            t = transition_counts(result, k)
+            t = build_contingency(result.partitions[k], result.partitions[k + 1])
             assert t.total == data.n
             assert np.array_equal(t.row_sums, result.partitions[k].cluster_sizes())
             assert np.array_equal(t.col_sums, result.partitions[k + 1].cluster_sizes())
 
     def test_single_split_per_resolution(self, three_blob_sweep):
         _, _, result = three_blob_sweep
-        t = transition_counts(result, 3)
+        t = build_contingency(result.partitions[3], result.partitions[4])
         rows_with_two_children = int(((t.counts > 0).sum(axis=1) == 2).sum())
         rows_with_one_child = int(((t.counts > 0).sum(axis=1) == 1).sum())
         assert rows_with_two_children == 1
@@ -113,15 +108,15 @@ class TestTransitionCounts:
 
     def test_out_of_range(self, three_blob_sweep):
         _, _, result = three_blob_sweep
-        with pytest.raises(OutOfRange):
-            transition_counts(result, 4)
-        with pytest.raises(OutOfRange):
-            transition_counts(result, 0)
+        for k_current in (1, 5):
+            with pytest.raises(OutOfRange):
+                result.comparison_at(k_current)
 
     def test_stored_stability_matches_recompute(self, three_blob_sweep):
         _, _, result = three_blob_sweep
         for k in range(1, 4):
-            reversed_table = ContingencyTable(transition_counts(result, k).counts.T)
+            table = build_contingency(result.partitions[k], result.partitions[k + 1])
+            reversed_table = ContingencyTable(table.counts.T)
             recomputed = stability_from_table(reversed_table)
             assert recomputed == result.comparison_at(k + 1).stability
 

@@ -124,9 +124,9 @@ class TestBuildGraph:
     def test_default_and_custom_labels(self, blob_sweep):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
-        assert g.node(1, 0).label == "K1-C0"
+        assert {n.label for n in g.nodes if n.k == 1} == {"K1-C0"}
         named = build_graph(result, names={(1, 0): "Everything"}, threshold=0)
-        assert named.node(1, 0).label == "Everything"
+        assert {n.label for n in named.nodes if n.k == 1} == {"Everything"}
 
     def test_needs_two_resolutions(self):
         data, _ = make_blobs([[0.0, 0.0]], n_per=20, sigma=1.0, seed=5)
