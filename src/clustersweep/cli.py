@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -25,7 +25,6 @@ from .errors import (
     BackendUnavailable,
     ClusterSweepError,
     InsufficientData,
-    MissingArchive,
     NumericFailure,
     ParseError,
 )
@@ -93,7 +92,6 @@ class RunConfig:
     seed_hi: int = _setting(100, "last comparison seed", "stability")
     master_seed: int = _setting(0, "subsample draw seed", "stability")
     kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
-    fit_reference: bool = _setting(False, "fit references if there is no archive", "stability")
     threshold: str = _setting("150", "minimum edge flow: int, fraction, or 'x%%'", "sankey")
     names: str | None = _setting(None, "name table CSV for node labels", "sankey")
     texts: str | None = _setting(None, "CSV of id,text rows aligned with the input", "name")
@@ -236,43 +234,33 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_stability(config: RunConfig) -> int:
-    """Run the perturbation protocols against the archived or freshly fitted partitions."""
+    """Run the perturbation protocols against the archived partitions."""
     out = Path(config.out)
-    references, base = None, config.base
-    try:
-        archive = pipeline.read_archive(out)
-    except MissingArchive as exc:
-        if not config.fit_reference:
-            raise MissingArchive(f"{exc} or pass --fit-reference") from None
-    else:
-        if archive.k_min > config.k_min or archive.k_max < config.k_max:
-            raise ValueError(
-                f"archive covers K {archive.k_min}..{archive.k_max}, "
-                f"requested {config.k_min}..{config.k_max}"
-            )
-        references = {k: archive.partitions[k] for k in range(config.k_min, config.k_max + 1)}
-        base = _archived_fit_settings(config, archive)
-        if config.input is None:
-            path = out / "config.json"
-            try:
-                archived = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-                raise ParseError(f"{path}: invalid JSON: {exc}") from None
-            if not isinstance(archived, dict):
-                raise ParseError(f"{path}: must be a JSON object, got {type(archived).__name__}")
-            config.input = archived.get("input")
-            config.format = archived.get("format", config.format)
-            if not (_fits(config.input, "str | None") and _fits(config.format, "str")):
-                raise ParseError(f"{path}: input and format must be strings")
+    archive = pipeline.read_archive(out)
+    if archive.k_min > config.k_min or archive.k_max < config.k_max:
+        raise ValueError(
+            f"archive covers K {archive.k_min}..{archive.k_max}, "
+            f"requested {config.k_min}..{config.k_max}"
+        )
+    _archived_fit_settings(config, archive)  # the refits use archive.base
+    if config.input is None:
+        path = out / "config.json"
+        try:
+            archived = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(archived, dict):
+            raise ParseError(f"{path}: must be a JSON object, got {type(archived).__name__}")
+        config.input = archived.get("input")
+        config.format = archived.get("format", config.format)
+        if not (_fits(config.input, "str | None") and _fits(config.format, "str")):
+            raise ParseError(f"{path}: input and format must be strings")
     data = _load_input(config)
-    out.mkdir(parents=True, exist_ok=True)
-    k_range = (config.k_min, config.k_max)
+    sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
 
     curves = []
     for token, spec in zip(config.kinds, config.specs):
-        curve = stability.run_protocol(
-            data, base, k_range, spec, references=references, jobs=config.jobs
-        )
+        curve = stability.run_protocol(data, sweep, spec, jobs=config.jobs)
         stability.write_curve_csv(curve, out / f"stability_{token}.csv")
         stability.write_curve_json(curve, out / f"stability_{token}.json")
         stability.write_curve_reps_csv(curve, out / f"stability_{token}_reps.csv")

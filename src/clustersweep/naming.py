@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import re
+import threading
 import time
 import unicodedata
 from collections import Counter
@@ -250,10 +251,15 @@ def name_clusters(
 
     Raises:
         BackendUnavailable: if the backend stays unreachable and
-            ``fallback_on_error`` is false.
+            ``fallback_on_error`` is false. No cluster starts posting after that.
     """
+    # Set at the first unavailable backend. A worker that frees up takes the
+    # next queued cluster before the caller sees the error, so each checks this.
+    unavailable = threading.Event()
 
-    def one(profile: ClusterProfile) -> tuple[str, str]:
+    def one(profile: ClusterProfile) -> tuple[str, str] | None:
+        if unavailable.is_set():
+            return None  # the run fails with an earlier cluster's error
         prompt = build_prompt(profile)
         try:
             raw = sanitize_name(backend.generate(profile, prompt))
@@ -265,6 +271,7 @@ def name_clusters(
             return fallback_name(profile), "fallback"
         except BackendUnavailable:
             if not fallback_on_error:
+                unavailable.set()
                 raise
             logger.warning(
                 "K=%d cluster %d: backend unavailable; using fallback",

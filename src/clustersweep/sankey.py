@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import ContingencyTable, build_contingency
-from .errors import InsufficientResolutions, ParseError
+from .errors import InsufficientResolutions
 from .metrics import stability_from_table
 from .pipeline import SweepResult
 
@@ -174,58 +174,10 @@ def graph_to_json_dict(g: SankeyGraph) -> dict:
 
 
 def export_json(g: SankeyGraph, path: str | Path) -> None:
-    """Write the graph JSON with stable key ordering; round-trips losslessly."""
+    """Write the graph JSON with stable key ordering."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(graph_to_json_dict(g), fh, indent=2)
         fh.write("\n")
-
-
-def load_graph(path: str | Path) -> SankeyGraph:
-    """Read a graph written by :func:`export_json`.
-
-    Raises:
-        ParseError: if the file is not UTF-8 JSON of a graph, or a field is missing or ill-typed.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ParseError(f"{path}: invalid graph JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a graph must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != 1:
-        raise ParseError(f"{path}: unsupported graph version {doc.get('version')!r}")
-    try:
-        nodes = tuple(
-            SankeyNode(
-                k=int(n["k"]),
-                cluster=int(n["cluster"]),
-                label=str(n["label"]),
-                size=int(n["size"]),
-                stability=float(n["stability"]),
-            )
-            for n in doc["nodes"]
-        )
-        by_id = {n.id: n for n in nodes}
-        edges = tuple(
-            SankeyEdge(
-                source_k=by_id[e["source"]].k,
-                source_cluster=by_id[e["source"]].cluster,
-                target_cluster=by_id[e["target"]].cluster,
-                flow=int(e["flow"]),
-            )
-            for e in doc["edges"]
-        )
-        ks = [n.k for n in nodes]
-        return SankeyGraph(
-            k_min=min(ks),
-            k_max=max(ks),
-            nodes=nodes,
-            edges=edges,
-            filter_threshold=int(doc["threshold"]),
-            dropped_flow=tuple((int(d["k"]), int(d["items"])) for d in doc["dropped_flow"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid graph: {exc!r}") from exc
 
 
 def stability_color(stability: float) -> str:

@@ -2,10 +2,10 @@
 
 Three perturbations are supported: refitting on a random subset of embedding
 dimensions, refitting on a random subset of rows, and refitting with different
-seeds. Each comparison is against a reference partition fitted once per K on
-the unperturbed data. Repetition r draws its randomness from a generator
-seeded by (master_seed, r), so curves reproduce bit-exactly and repetitions
-are independent.
+seeds. Each refit uses the sweep's fit settings and is compared with the
+sweep's partition at the same K. Repetition r draws its randomness from a
+generator seeded by (master_seed, r), so curves reproduce bit-exactly and
+repetitions are independent.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import gmm
 from .data import EmbeddingMatrix, Partition, intersect_partitions
 from .gmm import GmmConfig
 from .metrics import ami
+from .pipeline import SweepResult
 
 KINDS = ("dimension_subsample", "row_subsample", "seed_variation")
 
@@ -67,35 +68,30 @@ class StabilityCurve:
 def _run(
     kind: str,
     data: EmbeddingMatrix,
-    base: GmmConfig,
-    k_range: tuple[int, int],
+    sweep: SweepResult,
     spec: PerturbationSpec,
-    references: dict[int, Partition] | None,
     jobs: int,
     reps: Iterable[int],
     perturb: Callable[[int], tuple[EmbeddingMatrix, GmmConfig]],
     compare: Callable[[Partition, Partition], float] | None = None,
 ) -> StabilityCurve:
-    """The protocol of every kind: perturb, refit every K, score against the reference.
+    """The protocol of every kind: perturb, refit every K, score against the sweep.
 
     ``perturb(r)`` gives the data and fit settings for each r in ``reps``,
     drawn once per repetition. ``compare(partition, reference)`` scores a
-    refit, by default the AMI of the two partitions. K=1 scores 1.0 by
-    convention, unfitted. Fits run on ``jobs`` threads, largest K first so
-    that the slowest start early, and scores are joined by K.
+    refit against the sweep's partition at its K, by default by their AMI.
+    K=1 scores 1.0 by convention, unfitted. Fits run on ``jobs`` threads,
+    largest K first so that the slowest start early, and scores are joined by K.
     """
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
-    ks = range(k_range[0], k_range[1] + 1)
+    ks = range(sweep.k_min, sweep.k_max + 1)
     fit_ks = [k for k in reversed(ks) if k > 1]
-    refs = dict(references) if references else {}
-    missing = [k for k in fit_ks if k not in refs]
-    refs.update(zip(missing, gmm._map_ordered(
-        lambda k: gmm.fit(data, base.with_k(k))[1], missing, jobs)))
 
     def score(sub: EmbeddingMatrix, config: GmmConfig, k: int) -> float:
         _, part = gmm.fit(sub, config.with_k(k))
-        return compare(part, refs[k]) if compare else ami(part, refs[k]).ami
+        ref = sweep.partitions[k]
+        return compare(part, ref) if compare else ami(part, ref).ami
 
     rows = []
     for r in reps:
@@ -119,73 +115,53 @@ def _subsample(spec: PerturbationSpec, r: int, n: int, size: int) -> np.ndarray:
 
 
 def dimension_stability(
-    data: EmbeddingMatrix,
-    base: GmmConfig,
-    k_range: tuple[int, int],
-    spec: PerturbationSpec,
-    references: dict[int, Partition] | None = None,
-    jobs: int = 1,
+    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
-    """AMI of fits on random dimension subsets against full-dimension fits.
+    """AMI of fits on random dimension subsets against the sweep's full-dimension fits.
 
     Each repetition draws floor(fraction * d) distinct columns (kept in
-    original order), refits at every K, and compares against the reference
-    partition at the same K. K=1 is 1.0 by convention.
+    original order), refits at every K of the sweep, and compares against the
+    sweep's partition at the same K. K=1 is 1.0 by convention.
     """
     n_cols = int(spec.fraction * data.d)
     if n_cols < 1:
         raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
     return _run(
-        "dimension_subsample", data, base, k_range, spec, references, jobs,
-        range(spec.repetitions),
-        lambda r: (data.subset_columns(_subsample(spec, r, data.d, n_cols)), base),
+        "dimension_subsample", data, sweep, spec, jobs, range(spec.repetitions),
+        lambda r: (data.subset_columns(_subsample(spec, r, data.d, n_cols)), sweep.base),
     )
 
 
 def row_stability(
-    data: EmbeddingMatrix,
-    base: GmmConfig,
-    k_range: tuple[int, int],
-    spec: PerturbationSpec,
-    references: dict[int, Partition] | None = None,
-    jobs: int = 1,
+    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
-    """AMI of fits on random row subsets against the full-data fits.
+    """AMI of fits on random row subsets against the sweep's full-data fits.
 
-    The subsample partition is compared with the reference restricted to the
-    sampled ids, so both sides cover the same items.
+    The subsample partition is compared with the sweep's partition restricted
+    to the sampled ids, so both sides cover the same items.
     """
     n_rows = int(spec.fraction * data.n)
-    if n_rows < k_range[1]:
-        raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={k_range[1]}")
+    if n_rows < sweep.k_max:
+        raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={sweep.k_max}")
     return _run(
-        "row_subsample", data, base, k_range, spec, references, jobs, range(spec.repetitions),
-        lambda r: (data.subset_rows(_subsample(spec, r, data.n, n_rows)), base),
+        "row_subsample", data, sweep, spec, jobs, range(spec.repetitions),
+        lambda r: (data.subset_rows(_subsample(spec, r, data.n, n_rows)), sweep.base),
         lambda part, ref: ami(*intersect_partitions(part, ref)).ami,
     )
 
 
 def seed_stability(
-    data: EmbeddingMatrix,
-    base: GmmConfig,
-    k_range: tuple[int, int],
-    spec: PerturbationSpec,
-    references: dict[int, Partition] | None = None,
-    jobs: int = 1,
+    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
-    """AMI of fits under alternative seeds against the base-seed fits."""
+    """AMI of fits under alternative seeds against the sweep's base-seed fits."""
     return _run(
-        "seed_variation", data, base, k_range, spec, references, jobs, spec.seeds(),
-        lambda seed: (data, base.with_seed(seed)),
+        "seed_variation", data, sweep, spec, jobs, spec.seeds(),
+        lambda seed: (data, sweep.base.with_seed(seed)),
     )
 
 
 def run_protocol(
-    data: EmbeddingMatrix,
-    base: GmmConfig,
-    k_range: tuple[int, int],
-    spec: PerturbationSpec,
-    **kwargs,
+    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
     """Dispatch to the protocol named by ``spec.kind``."""
     fn = {
@@ -193,7 +169,7 @@ def run_protocol(
         "row_subsample": row_stability,
         "seed_variation": seed_stability,
     }[spec.kind]
-    return fn(data, base, k_range, spec, **kwargs)
+    return fn(data, sweep, spec, jobs)
 
 
 def write_curve_csv(curve: StabilityCurve, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from clustersweep.gmm import GmmConfig, fit
 from clustersweep.metrics import ami, expected_mutual_information, proportional_stability
 from clustersweep.naming import FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster
 from clustersweep.pipeline import run_sweep
-from clustersweep.sankey import build_graph, export_html, export_json, load_graph
+from clustersweep.sankey import build_graph, export_html, export_json, graph_to_json_dict
 from clustersweep.stability import (
     PerturbationSpec,
     dimension_stability,
@@ -184,21 +184,20 @@ def test_criterion_03_separated_recovery(four_blobs):
 def test_criterion_04_single_level_stability_protocols(four_blobs):
     with criterion(4, "three protocols: mean AMI >= 0.95 at K=4; controls exactly 1.0 (<10min)"):
         data, _ = four_blobs
-        base = GmmConfig(k=1)
-        k_range = (1, 6)
-        k4 = k_range[1] - k_range[0] + 1 - 3  # index of K=4 in k_values
         start = time.time()
+        sweep = run_sweep(data, GmmConfig(k=1), 1, 6)
+        k4 = 4 - sweep.k_min  # index of K=4 in k_values
 
         dim = dimension_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=25),
         )
         rows = row_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=25),
         )
         seeds = seed_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="seed_variation", seed_range=(1, 25)),
         )
         assert dim.k_values[k4] == 4
@@ -207,15 +206,15 @@ def test_criterion_04_single_level_stability_protocols(four_blobs):
         assert seeds.mean_ami[k4] >= 0.95, f"seed protocol: {seeds.mean_ami[k4]}"
 
         dim_control = dimension_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3),
         )
         row_control = row_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3),
         )
         seed_control = seed_stability(
-            data, base, k_range,
+            data, sweep,
             PerturbationSpec(kind="seed_variation", seed_range=(0, 0)),
         )
         for control in (dim_control, row_control, seed_control):
@@ -267,7 +266,7 @@ def test_criterion_06_sankey_integrity(nested_blobs, tmp_path):
 
         g = build_graph(result, threshold=120)
         export_json(g, tmp_path / "graph.json")
-        assert load_graph(tmp_path / "graph.json") == g
+        assert json.loads((tmp_path / "graph.json").read_text()) == graph_to_json_dict(g)
 
         export_html(g, tmp_path / "graph.html")
         doc = (tmp_path / "graph.html").read_text().lower()

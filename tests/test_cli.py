@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 import clustersweep
+from clustersweep import naming
 from clustersweep.cli import RunConfig, build_parser, main, parse_threshold, resolve_config
 from clustersweep.data import load_embeddings, load_partition, save_embeddings
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
-from conftest import make_blobs, spread_centers, write_binary_unchecked
+from conftest import make_blobs, make_matrix, spread_centers, write_binary_unchecked
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +121,12 @@ class TestConfigResolution:
         ("ab", ["run.json", "JSON object"]),
         (3, ["run.json", "JSON object"]),
         ({"k_max": "7"}, ["run.json", "'k_max'", "int"]),
-        ({"fit_reference": "no"}, ["run.json", "'fit_reference'", "bool"]),
+        ({"fallback": "no"}, ["run.json", "'fallback'", "bool"]),
         ({"tol": math.nan}, ["tol", "finite"]),
         ({"reg_covar": math.inf}, ["reg_covar", "finite"]),
         ({"fraction": math.nan}, ["fraction"]),
+        # A config.json written while --fit-reference existed.
+        ({"fit_reference": False}, ["run.json", "'fit_reference'"]),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
         (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -140,7 +143,6 @@ FLAGS = {
     "sweep": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS,
     "stability": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS | {
         "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi", "--master-seed",
-        "--fit-reference",
     },
     "sankey": ARCHIVE_FLAGS | {"--threshold", "--names"},
     "name": ARCHIVE_FLAGS | FIT_FLAGS | {
@@ -190,7 +192,9 @@ class TestParser:
         ["sweep", "--n-init", "3"],
         ["sankey", "--jobs", "2"],
         ["name", "--input", "emb.csv"],
-    ], ids=["bad-int", "unknown-kind", "removed-flag", "sankey-jobs", "name-input"])
+        ["stability", "--fit-reference"],
+    ], ids=["bad-int", "unknown-kind", "removed-flag", "sankey-jobs", "name-input",
+            "removed-fit-reference"])
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
@@ -267,7 +271,8 @@ class TestStabilityCommand:
             "--out", str(tmp_path / "missing"), "--kinds", "seeds",
         ])
         assert code == 2
-        assert "archive" in capsys.readouterr().err
+        assert "run the sweep first" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_self_seed_curve_is_one(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -307,16 +312,6 @@ class TestStabilityCommand:
             lines = (out / f"stability_{token}.csv").read_text().splitlines()
             assert len(lines) == 6
         assert (out / "stability_combined.csv").exists()
-
-    def test_fit_reference_without_archive(self, fixture_dir, tmp_path):
-        out = tmp_path / "fresh"
-        code = main([
-            "stability", "--input", str(fixture_dir / "emb.csv"), "--out", str(out),
-            "--k-min", "2", "--k-max", "3", "--kinds", "seeds",
-            "--seed-lo", "1", "--seed-hi", "2", "--fit-reference",
-        ])
-        assert code == 0
-        assert (out / "stability_seeds.csv").exists()
 
     def test_refits_use_archived_fit_settings(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -396,11 +391,11 @@ class TestArchiveRange:
         rows = (archive / "names.csv").read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"2", "3", "4", "5"}
 
-    def test_fit_reference_does_not_bypass_the_archive(self, fixture_dir, archive, capsys):
+    def test_stability_needs_the_archive_to_cover_the_range(self, fixture_dir, archive, capsys):
+        # --k-min defaults to 1, below the archive's K=2.
         code = main([
             "stability", "--out", str(archive), "--input", str(fixture_dir / "emb.csv"),
-            "--fit-reference", "--k-max", "5", "--kinds", "seeds", "--seed-lo", "7",
-            "--seed-hi", "7",
+            "--k-max", "5", "--kinds", "seeds", "--seed-lo", "7", "--seed-hi", "7",
         ])
         assert code == 1
         assert "K 2..5" in capsys.readouterr().err
@@ -572,6 +567,27 @@ class TestNameCommand:
         assert len(http_stub.posts) == 3 and sleeps == [1.0, 2.0]
         assert not (out / "names.csv").exists()
 
+    def test_unavailable_backend_stops_the_run_posting(
+        self, fixture_dir, tmp_path, monkeypatch, http_stub
+    ):
+        out = tmp_path / "run"
+        assert main([
+            "sweep", "--input", str(fixture_dir / "emb.csv"), "--out", str(out),
+            "--k-min", "7", "--k-max", "7",
+        ]) == 0
+        monkeypatch.setattr(naming, "BACKOFF_S", 0)
+        http_stub.replies = [(503, b"busy")]
+        argv = ["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                "--backend-url", http_stub.url]
+        assert main(argv) == 4
+        # Only the clusters in flight when the first one gave up have posted.
+        assert len(http_stub.posts) <= naming.MAX_IN_FLIGHT * naming.RETRIES
+        http_stub.posts.clear()
+        assert main([*argv, "--fallback-on-error"]) == 0
+        rows = (out / "names.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7 and all(row.endswith(",fallback") for row in rows)
+        assert len(http_stub.posts) == 7 * naming.RETRIES
+
     def test_wrong_response_path_falls_back_per_cluster(self, fixture_dir, tmp_path, http_stub):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
@@ -595,6 +611,47 @@ class TestNameCommand:
             "name", "--out", str(out), "--texts", str(tmp_path / "short.csv"), "--fallback",
         ])
         assert code == 2
+
+
+class TestDegenerateInputs:
+    """Inputs with fewer distinct rows than clusters, or too little to subsample."""
+
+    @staticmethod
+    def write(tmp_path, values) -> list[str]:
+        """The embedding and texts files of ``values``; returns the sweep's file flags."""
+        data = make_matrix(values)
+        save_embeddings(data, tmp_path / "emb.csv", "csv")
+        (tmp_path / "texts.csv").write_text(
+            "id,text\n" + "".join(f"{i},text number {int(i) % 3}\n" for i in data.ids)
+        )
+        return ["--input", str(tmp_path / "emb.csv"), "--out", str(tmp_path / "run")]
+
+    @pytest.mark.parametrize("values", [
+        np.full((60, 4), 0.5),
+        np.repeat(np.arange(12.0).reshape(3, 4), 20, axis=0),
+    ], ids=["constant-rows", "three-distinct-rows"])
+    def test_every_stage_exits_0(self, tmp_path, values):
+        files = self.write(tmp_path, values)
+        run = ["--out", str(tmp_path / "run"), "--k-max", "8"]
+        assert main(["sweep", *files, "--k-max", "8"]) == 0
+        assert main(["stability", *run, "--reps", "2", "--seed-lo", "1", "--seed-hi", "2"]) == 0
+        assert main(["sankey", *run, "--threshold", "1"]) == 0
+        assert main(["name", *run, "--texts", str(tmp_path / "texts.csv"), "--fallback"]) == 0
+
+    def test_one_column_cannot_be_subsampled(self, tmp_path, capsys):
+        files = self.write(tmp_path, np.linspace(0.0, 1.0, 60).reshape(60, 1))
+        assert main(["sweep", *files, "--k-max", "3"]) == 0
+        assert main(["stability", "--out", str(tmp_path / "run"), "--k-max", "3"]) == 1
+        assert "fraction 0.8 keeps no columns of d=1" in capsys.readouterr().err
+
+    def test_row_fraction_below_k_max(self, tmp_path, capsys):
+        files = self.write(tmp_path, np.random.default_rng(0).normal(size=(300, 4)))
+        assert main(["sweep", *files, "--k-max", "8"]) == 0
+        assert main([
+            "stability", "--out", str(tmp_path / "run"), "--k-max", "8",
+            "--fraction", "0.02", "--kinds", "rows",
+        ]) == 1
+        assert "keeps 6 rows < k_max=8" in capsys.readouterr().err
 
 
 class TestConsoleScript:
