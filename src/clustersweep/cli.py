@@ -210,6 +210,27 @@ def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> 
     return archive.base
 
 
+def _check_sweep_input(
+    data: EmbeddingMatrix, archive: pipeline.SweepResult, path: str, out: Path
+) -> None:
+    """Raise ParseError unless ``data`` has the sweep input's ids, in order, and its d."""
+    ids = archive.partitions[archive.k_min].ids
+    if data.ids != ids:
+        got, want = data.ids + (None,), ids + (None,)  # None past the last row
+        r = next(r for r, (a, b) in enumerate(zip(got, want)) if a != b)
+        raise ParseError(
+            f"{path}: row {r} has id {got[r]!r} where "
+            f"{out / f'partition_{archive.k_min}.csv'} has {want[r]!r}; "
+            "stability needs the sweep's input"
+        )
+    for k, model in archive.models.items():
+        if model.means.shape[1] != data.d:
+            raise ParseError(
+                f"{path}: d={data.d} where {out / f'model_{k}.json'} has "
+                f"d={model.means.shape[1]}; stability needs the sweep's input"
+            )
+
+
 def cmd_sweep(config: RunConfig) -> int:
     """Fit every K and archive the partitions and models."""
     data = _load_input(config)
@@ -256,6 +277,7 @@ def cmd_stability(config: RunConfig) -> int:
         if not (_fits(config.input, "str | None") and _fits(config.format, "str")):
             raise ParseError(f"{path}: input and format must be strings")
     data = _load_input(config)
+    _check_sweep_input(data, archive, config.input, out)
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
 
     curves = []
@@ -290,15 +312,23 @@ def cmd_sankey(config: RunConfig) -> int:
 
 
 def _load_texts(path: str | Path) -> dict[str, str]:
+    """The id -> text map of an 'id,text' CSV, in which no id repeats."""
+    texts, rows = {}, {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:
                 raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
-            return {row[0]: row[1] for row in reader if len(row) >= 2}
+            for r, row in enumerate(reader):
+                if len(row) < 2:
+                    continue
+                if row[0] in texts:
+                    raise ParseError(f"{path}: id {row[0]!r} repeats in rows {rows[row[0]]} and {r}")
+                texts[row[0]], rows[row[0]] = row[1], r
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return texts
 
 
 def cmd_name(config: RunConfig) -> int:
@@ -308,7 +338,7 @@ def cmd_name(config: RunConfig) -> int:
     if not config.texts:
         raise ValueError("naming needs --texts (CSV with id,text columns)")
     sample_seed = _archived_fit_settings(config, archive).seed
-    texts_by_id = _load_texts(config.texts)
+    texts = _load_texts(config.texts)
 
     if config.fallback or not config.backend_url:
         if not config.fallback:
@@ -327,21 +357,20 @@ def cmd_name(config: RunConfig) -> int:
     )
     emoji_map = naming.load_emoji_map(config.emoji_map) if config.emoji_map else None
 
+    ids = archive.partitions[archive.k_min].ids  # every K covers the same ids
+    missing = [i for i in ids if i not in texts]
+    if missing:
+        raise ParseError(
+            f"{config.texts}: missing texts for {len(missing)} ids (first: {missing[0]!r})"
+        )
+    tokens = {i: naming.tokenize(texts[i], stopwords, emoji_map) for i in ids}
+
     assignments = []
     for k in range(archive.k_min, archive.k_max + 1):
         partition = archive.partitions[k]
-        missing = [i for i in partition.ids if i not in texts_by_id]
-        if missing:
-            raise ParseError(
-                f"{config.texts}: missing texts for {len(missing)} ids (first: {missing[0]!r})"
-            )
-        texts = [texts_by_id[i] for i in partition.ids]
         sizes = partition.cluster_sizes()
         profiles = [
-            naming.profile_cluster(
-                texts, partition, k, c, sample_seed,
-                stopwords=stopwords, emoji_map=emoji_map,
-            )
+            naming.profile_cluster(texts, tokens, partition, k, c, sample_seed)
             for c in range(k) if sizes[c] > 0
         ]
         assignments.extend(

@@ -20,6 +20,7 @@ import unicodedata
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,34 +94,29 @@ def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 
 
 def profile_cluster(
-    texts: list[str],
+    texts: dict[str, str],
+    tokens: dict[str, list[str]],
     membership: Partition,
     k: int,
     cluster: int,
     seed: int,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    emoji_map: dict[str, str] | None = None,
 ) -> ClusterProfile:
-    """Count tokens over a cluster's texts and draw a seeded sample of them.
+    """Count a cluster's tokens and draw a seeded sample of its texts.
 
-    Keeps the TOP_WORDS most frequent tokens and samples SAMPLE_TEXTS member
-    texts (all of them if there are fewer). ``texts`` aligns index-for-index
-    with ``membership.ids``. Top words are ordered by descending count, ties
-    lexicographically. The sample seed mixes (seed, k, cluster) so different
-    clusters draw independently.
+    ``texts`` and ``tokens`` map each id of ``membership`` to its text and to
+    that text's ``tokenize`` list. Keeps the TOP_WORDS most frequent tokens and
+    samples SAMPLE_TEXTS member texts (all of them if there are fewer). Top
+    words are ordered by descending count, ties lexicographically. The sample
+    seed mixes (seed, k, cluster) so different clusters draw independently.
 
     Raises:
         EmptyCluster: if the cluster has no members.
     """
-    if len(texts) != membership.n_items:
-        raise ValueError("texts must align with the partition's items")
-    members = membership.members(cluster)
-    if members.size == 0:
+    members = [membership.ids[i] for i in membership.members(cluster)]
+    if not members:
         raise EmptyCluster(f"cluster {cluster} at K={k} has no members")
 
-    counts: Counter[str] = Counter()
-    for i in members:
-        counts.update(tokenize(texts[i], stopwords, emoji_map))
+    counts = Counter(chain.from_iterable(tokens[i] for i in members))
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_WORDS]
 
     member_texts = [texts[i] for i in members]

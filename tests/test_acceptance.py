@@ -17,7 +17,9 @@ from clustersweep.cli import main
 from clustersweep.data import Partition, build_contingency, save_embeddings
 from clustersweep.gmm import GmmConfig, fit
 from clustersweep.metrics import ami, expected_mutual_information, proportional_stability
-from clustersweep.naming import FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster
+from clustersweep.naming import (
+    FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster, tokenize,
+)
 from clustersweep.pipeline import run_sweep
 from clustersweep.sankey import build_graph, export_html, export_json, graph_to_json_dict
 from clustersweep.stability import (
@@ -323,14 +325,15 @@ def test_criterion_10_naming_pipeline_offline(nested_blobs):
         data, truth = nested_blobs
         result = run_sweep(data, GmmConfig(k=1), 1, 4)
         themes = ["maga patriot usa", "vegan yoga peace", "crypto trader moon", "football fan club"]
-        texts = [f"loving {themes[truth[i]]} daily" for i in range(data.n)]
+        texts = {i: f"loving {themes[truth[r]]} daily" for r, i in enumerate(data.ids)}
+        tokens = {i: tokenize(text) for i, text in texts.items()}
 
         all_assignments = []
         for k in range(1, 5):
             partition = result.partitions[k]
             sizes = partition.cluster_sizes()
             profiles = [
-                profile_cluster(texts, partition, k, c, seed=0)
+                profile_cluster(texts, tokens, partition, k, c, seed=0)
                 for c in range(k) if sizes[c] > 0
             ]
             first = name_clusters(profiles, FallbackBackend())

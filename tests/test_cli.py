@@ -358,6 +358,31 @@ class TestStabilityCommand:
         assert code == 2
         assert f"{out / 'config.json'}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, columns, message", [
+        (range(120), range(12), "row 120 has id None where {partition} has '120'"),
+        ([7 if r == 3 else 3 if r == 7 else r for r in range(200)], range(12),
+         "row 3 has id '7' where {partition} has '3'"),
+        (range(200), range(11), "d=11 where {model} has d=12"),
+    ], ids=["120-row-prefix", "two-rows-swapped", "other-d"])
+    def test_input_other_than_the_sweeps_exits_2_naming_it(
+        self, fixture_dir, tmp_path, capsys, rows, columns, message
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        data = load_embeddings(fixture_dir / "emb.csv")
+        other = tmp_path / "other.csv"
+        values = data.values[np.ix_(list(rows), list(columns))]
+        save_embeddings(make_matrix(values, [data.ids[r] for r in rows]), other, "csv")
+        capsys.readouterr()
+        code = main([
+            "stability", "--input", str(other), "--out", str(out), "--k-max", "5",
+            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
+        ])
+        assert code == 2
+        message = message.format(partition=out / "partition_1.csv", model=out / "model_1.json")
+        assert f"{other}: {message}" in capsys.readouterr().err
+        assert not (out / "stability_seeds.csv").exists()
+
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
@@ -611,6 +636,31 @@ class TestNameCommand:
             "name", "--out", str(out), "--texts", str(tmp_path / "short.csv"), "--fallback",
         ])
         assert code == 2
+
+    def test_repeated_text_id_exits_2_naming_both_rows(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        texts = tmp_path / "texts.csv"
+        texts.write_text((fixture_dir / "texts.csv").read_text() + "7,another text\n")
+        assert main(["name", "--out", str(out), "--texts", str(texts), "--fallback"]) == 2
+        assert f"{texts}: id '7' repeats in rows 7 and 200" in capsys.readouterr().err
+
+    def test_tokenizes_each_id_once_in_any_partition_row_order(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        argv = ["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"), "--fallback"]
+        assert main(argv) == 0
+        in_order = (out / "names.csv").read_bytes()
+        header, *rows = (out / "partition_3.csv").read_text().splitlines(keepends=True)
+        (out / "partition_3.csv").write_text(header + "".join(reversed(rows)))
+        calls = []
+        tokenize = naming.tokenize
+        monkeypatch.setattr(naming, "tokenize", lambda *args: calls.append(args) or tokenize(*args))
+        assert main(argv) == 0
+        assert len(calls) == 200  # once per id of the archive, not once per id and K
+        assert (out / "names.csv").read_bytes() == in_order
 
 
 class TestDegenerateInputs:

@@ -1,11 +1,18 @@
 import logging
 import time
+from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustersweep.errors import BackendUnavailable, EmptyCluster, MalformedResponse, ParseError
 from clustersweep.naming import (
+    DEFAULT_STOPWORDS,
+    SAMPLE_TEXTS,
+    TOP_WORDS,
     ClusterProfile,
     FallbackBackend,
     HttpBackend,
@@ -25,6 +32,47 @@ from conftest import make_partition
 
 def profile(k=2, cluster=0, words=(("maga", 3), ("patriot", 2)), samples=("bio one",)):
     return ClusterProfile(k=k, cluster=cluster, top_words=tuple(words), sample_texts=tuple(samples))
+
+
+def keyed(texts):
+    """The texts and tokens of ``make_partition``'s ids "0", "1", ..., keyed by id."""
+    ids = [str(i) for i in range(len(texts))]
+    return dict(zip(ids, texts)), {i: tokenize(t) for i, t in zip(ids, texts)}
+
+
+def per_member_loop(texts, membership, k, cluster, seed, stopwords, emoji_map):
+    """The reference profile: ``texts`` by row, each member tokenized once per call."""
+    members = membership.members(cluster)
+    counts = Counter()
+    for i in members:
+        counts.update(tokenize(texts[i], stopwords, emoji_map))
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_WORDS]
+    member_texts = [texts[i] for i in members]
+    if len(member_texts) <= SAMPLE_TEXTS:
+        sample = member_texts
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k, cluster)))
+        chosen = np.sort(rng.choice(len(member_texts), size=SAMPLE_TEXTS, replace=False))
+        sample = [member_texts[i] for i in chosen]
+    return ClusterProfile(k=k, cluster=cluster, top_words=tuple(top), sample_texts=tuple(sample))
+
+
+# Few words, so counts tie and clusters have fewer than TOP_WORDS of them: stopwords,
+# non-ASCII words, emoji, Unicode punctuation (P*) alone and inside words, and "".
+WORDS = ("apple", "zebra", "the", "and", "café", "naïve", "ÉCOLE", "straße", "日本",
+         "\U0001f1fa\U0001f1f8", "\U0001f525", "don't", "«quote»", "¿qué?", "—", "...", "!", "")
+EMOJI = {"\U0001f1fa\U0001f1f8": "us flag", "\U0001f525": "the"}  # "the" is a default stopword
+
+
+@st.composite
+def corpora(draw):
+    """Texts by row, ids in a drawn order, labels with k, for ``per_member_loop``."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 4))
+    texts = [" ".join(draw(st.lists(st.sampled_from(WORDS), max_size=8))) for _ in range(n)]
+    ids = draw(st.permutations([str(i) for i in range(n)]))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return texts, make_partition(labels, k=k, ids=ids)
 
 
 class StubBackend:
@@ -56,18 +104,18 @@ class TestTokenize:
 class TestProfileCluster:
     def test_counts_direct(self):
         membership = make_partition([0], k=1)
-        p = profile_cluster(["maga patriot maga"], membership, 1, 0, seed=0)
+        p = profile_cluster(*keyed(["maga patriot maga"]), membership, 1, 0, seed=0)
         assert p.top_words == (("maga", 2), ("patriot", 1))
 
     def test_small_cluster_keeps_all_texts(self):
         membership = make_partition([0, 0, 1], k=2)
         texts = ["first bio", "second bio", "other"]
-        p = profile_cluster(texts, membership, 2, 0, seed=0)
+        p = profile_cluster(*keyed(texts), membership, 2, 0, seed=0)
         assert p.sample_texts == ("first bio", "second bio")
 
     def test_count_ties_break_lexicographically(self):
         membership = make_partition([0], k=1)
-        p = profile_cluster(["zebra apple zebra apple banana"], membership, 1, 0, seed=0)
+        p = profile_cluster(*keyed(["zebra apple zebra apple banana"]), membership, 1, 0, seed=0)
         assert p.top_words[0] == ("apple", 2)
         assert p.top_words[1] == ("zebra", 2)
         assert p.top_words[2] == ("banana", 1)
@@ -75,23 +123,37 @@ class TestProfileCluster:
     def test_sample_is_seeded_and_within_cluster(self):
         texts = [f"text {i}" for i in range(50)]
         membership = make_partition([0] * 40 + [1] * 10, k=2)
-        p1 = profile_cluster(texts, membership, 3, 0, seed=5)
-        p2 = profile_cluster(texts, membership, 3, 0, seed=5)
+        p1 = profile_cluster(*keyed(texts), membership, 3, 0, seed=5)
+        p2 = profile_cluster(*keyed(texts), membership, 3, 0, seed=5)
         assert p1.sample_texts == p2.sample_texts
         assert len(p1.sample_texts) == 20
         assert all(t in texts[:40] for t in p1.sample_texts)
-        p3 = profile_cluster(texts, membership, 3, 0, seed=6)
+        p3 = profile_cluster(*keyed(texts), membership, 3, 0, seed=6)
         assert p3.sample_texts != p1.sample_texts
 
     def test_empty_cluster(self):
         membership = make_partition([0, 0], k=2)
         with pytest.raises(EmptyCluster):
-            profile_cluster(["a", "b"], membership, 2, 1, seed=0)
+            profile_cluster(*keyed(["a", "b"]), membership, 2, 1, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpora(), seed=st.integers(0, 3),
+           stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"apple", "café"}), frozenset()]),
+           emoji_map=st.sampled_from([None, EMOJI]))
+    def test_matches_the_per_member_tokenize_loop(self, corpus, seed, stopwords, emoji_map):
+        texts, membership = corpus
+        by_id = dict(zip(membership.ids, texts))
+        tokens = {i: tokenize(text, stopwords, emoji_map) for i, text in by_id.items()}
+        k = membership.k_declared
+        for c in sorted(set(membership.labels.tolist())):
+            assert profile_cluster(by_id, tokens, membership, k, c, seed) == per_member_loop(
+                texts, membership, k, c, seed, stopwords, emoji_map
+            )
 
     def test_top_n_caps_vocabulary(self):
         membership = make_partition([0], k=1)
         text = " ".join(f"word{i}" for i in range(30))
-        p = profile_cluster([text], membership, 1, 0, seed=0)
+        p = profile_cluster(*keyed([text]), membership, 1, 0, seed=0)
         assert len(p.top_words) == 10
 
 
