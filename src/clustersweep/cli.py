@@ -321,8 +321,9 @@ def _load_texts(path: str | Path) -> dict[str, str]:
             if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:
                 raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
             for r, row in enumerate(reader):
-                if len(row) < 2:
-                    continue
+                if len(row) != 2:
+                    raise ParseError(f"{path}: row {r} is not an id,text pair (fields: "
+                                     f"{len(row)}); a text that holds a comma needs quotes")
                 if row[0] in texts:
                     raise ParseError(f"{path}: id {row[0]!r} repeats in rows {rows[row[0]]} and {r}")
                 texts[row[0]], rows[row[0]] = row[1], r

@@ -462,41 +462,32 @@ def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:
     return [fn(x) for x in items]
 
 
-def _json_render(obj) -> str:
-    # json.dump cannot be told to print floats at 17 significant digits.
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        # json.loads reads NaN, Infinity and -Infinity back.
-        return format(float(obj), ".17g") if math.isfinite(obj) else json.dumps(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
-            and np.isfinite(obj).all()):
-        # One join per finite row: the same text as the per-value path, without its calls.
-        return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_render(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_render(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _json_number(x) -> str:
+    # json.dumps prints a float by repr, not at 17 significant digits; json.loads
+    # reads the NaN, Infinity and -Infinity that it prints back.
+    return format(x, ".17g") if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
+
+
+def _json_row(values: np.ndarray) -> str:
+    # A finite row in one join: the same text as _json_number's, without a call per value.
+    number = "{:.17g}".format if np.isfinite(values).all() else _json_number
+    return "[" + ", ".join(map(number, values.tolist())) + "]"
 
 
 def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None:
     """Write a fitted model as JSON with floats at 17 significant digits."""
-    doc = {
-        "k": model.k,
-        "weights": model.weights,
-        "means": model.means,
-        "variances": model.variances,
-        "config": config.to_dict(),
-        "final_log_likelihood": model.final_log_likelihood,
-        "n_iter": model.n_iter,
-        "converged": model.converged,
-    }
-    Path(path).write_text(_json_render(doc) + "\n", encoding="utf-8")
+    def matrix(a: np.ndarray) -> str:
+        return "[" + ", ".join(map(_json_row, a)) + "]"
+
+    settings = ", ".join(f'"{name}": {_json_number(v)}' for name, v in config.to_dict().items())
+    Path(path).write_text(
+        f'{{"k": {model.k}, "weights": {_json_row(model.weights)}, '
+        f'"means": {matrix(model.means)}, "variances": {matrix(model.variances)}, '
+        f'"config": {{{settings}}}, '
+        f'"final_log_likelihood": {_json_number(float(model.final_log_likelihood))}, '
+        f'"n_iter": {model.n_iter}, "converged": {"true" if model.converged else "false"}}}\n',
+        encoding="utf-8",
+    )
 
 
 def load_model(path: str | Path) -> tuple[MixtureModel, GmmConfig]:

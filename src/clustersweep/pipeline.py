@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, build_contingency, load_partition, save_partition
@@ -82,29 +83,41 @@ def run_sweep(
     if data.n < k_max:
         raise ValueError(f"n={data.n} rows cannot support k_max={k_max}")
 
-    def fit_one(k: int) -> tuple[MixtureModel, Partition]:
-        try:
-            return gmm.fit(data, base.with_k(k))
-        except ClusterSweepError as exc:
-            exc.args = (f"while fitting K={k}: {exc}",)
-            raise
-
     ks = range(k_min, k_max + 1)
-    # Largest K first, so that the slowest fits start early; joined by K.
-    fitted = dict(zip(reversed(ks), gmm._map_ordered(fit_one, reversed(ks), jobs)))
-    for k in ks:
-        ll = fitted[k][0].final_log_likelihood
-        if not math.isfinite(ll):
-            raise NumericFailure(f"non-finite log-likelihood at K={k}: {ll}")
-    partitions = {k: fitted[k][1] for k in ks}
-    models = {k: fitted[k][0] for k in ks}
+    fitted = _fit_each_k(data, base, ks, jobs)
     return SweepResult(
         k_min=k_min,
         k_max=k_max,
-        partitions=partitions,
-        models=models,
+        partitions={k: fitted[k][1] for k in ks},
+        models={k: fitted[k][0] for k in ks},
         base=base.with_k(k_min),
     )
+
+
+def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], jobs: int,
+                where: str = "", score: Callable[[int, Partition], float] | None = None) -> dict:
+    """The one fit path of sweeps and refits: ``{k: (model, partition)}`` for each K of ``ks``.
+
+    Fits run on ``jobs`` threads, largest (slowest) K first, and are joined by K.
+    ``score(k, partition)``, if given, runs next to its fit and replaces the partition.
+    Errors name the K, then ``where`` (" in seed_variation seed 5"; empty for a sweep);
+    NumericFailure is raised at the lowest K whose final log-likelihood is not finite.
+    """
+    def fit_one(k: int) -> tuple[MixtureModel, Partition | float]:
+        try:
+            model, part = gmm.fit(data, config.with_k(k))
+        except ClusterSweepError as exc:
+            exc.args = (f"while fitting K={k}{where}: {exc}",)
+            raise
+        return model, score(k, part) if score else part
+
+    order = sorted(ks, reverse=True)
+    fitted = dict(zip(order, gmm._map_ordered(fit_one, order, jobs)))
+    for k in reversed(order):
+        ll = fitted[k][0].final_log_likelihood
+        if not math.isfinite(ll):
+            raise NumericFailure(f"non-finite log-likelihood at K={k}{where}: {ll}")
+    return fitted
 
 
 def consecutive_to_json(result: SweepResult) -> list[dict]:

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, intersect_partitions
-from .gmm import GmmConfig
 from .metrics import ami
-from .pipeline import SweepResult
+from .pipeline import SweepResult, _fit_each_k
 
 KINDS = ("dimension_subsample", "row_subsample", "seed_variation")
 
@@ -72,32 +71,27 @@ def _run(
     spec: PerturbationSpec,
     jobs: int,
     reps: Iterable[int],
-    perturb: Callable[[int], tuple[EmbeddingMatrix, GmmConfig]],
-    compare: Callable[[Partition, Partition], float] | None = None,
+    perturb: Callable[[int], tuple[EmbeddingMatrix, gmm.GmmConfig]],
+    compare: Callable[[Partition, Partition], float] = lambda part, ref: ami(part, ref).ami,
 ) -> StabilityCurve:
     """The protocol of every kind: perturb, refit every K, score against the sweep.
 
     ``perturb(r)`` gives the data and fit settings for each r in ``reps``,
     drawn once per repetition. ``compare(partition, reference)`` scores a
     refit against the sweep's partition at its K, by default by their AMI.
-    K=1 scores 1.0 by convention, unfitted. Fits run on ``jobs`` threads,
-    largest K first so that the slowest start early, and scores are joined by K.
+    K=1 scores 1.0 by convention, unfitted; the other K go through ``_fit_each_k``.
     """
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
     ks = range(sweep.k_min, sweep.k_max + 1)
-    fit_ks = [k for k in reversed(ks) if k > 1]
-
-    def score(sub: EmbeddingMatrix, config: GmmConfig, k: int) -> float:
-        _, part = gmm.fit(sub, config.with_k(k))
-        ref = sweep.partitions[k]
-        return compare(part, ref) if compare else ami(part, ref).ami
-
+    fit_ks = [k for k in ks if k > 1]
+    rep = "seed" if kind == "seed_variation" else "repetition"
     rows = []
     for r in reps:
         sub, config = perturb(r)
-        scores = dict(zip(fit_ks, gmm._map_ordered(lambda k: score(sub, config, k), fit_ks, jobs)))
-        rows.append([scores.get(k, 1.0) for k in ks])
+        fitted = _fit_each_k(sub, config, fit_ks, jobs, f" in {kind} {rep} {r}",
+                             lambda k, part: compare(part, sweep.partitions[k]))
+        rows.append([fitted[k][1] if k in fitted else 1.0 for k in ks])
     per_rep = np.asarray(rows, dtype=np.float64)
     return StabilityCurve(
         kind=kind,

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from clustersweep import gmm
 from clustersweep.data import BINARY_MAGIC, BINARY_VERSION, EmbeddingMatrix, Partition
+from clustersweep.errors import ClusterSweepError
 
 
 def make_partition(labels, k=None, ids=None) -> Partition:
@@ -33,6 +35,25 @@ def write_binary_unchecked(path, values, ids) -> None:
         BINARY_MAGIC + struct.pack("<BQQ", BINARY_VERSION, *values.shape)
         + values.tobytes() + "\n".join(ids).encode("utf-8")
     )
+
+
+def failing_fit(failure: str, k: int):
+    """A stand-in for ``gmm.fit`` that fails at ``k``: by raising a ClusterSweepError
+    ("raise"), or by ending with a NaN log-likelihood ("nan"). Other K fit as usual."""
+    real_fit = gmm.fit
+
+    def fit(data, config, iteration_hook=None):
+        if config.k == k and failure == "raise":
+            raise ClusterSweepError("synthetic failure")
+        model, part = real_fit(data, config, iteration_hook)
+        if config.k == k:
+            model = gmm.MixtureModel(
+                k=model.k, weights=model.weights, means=model.means, variances=model.variances,
+                converged=model.converged, n_iter=model.n_iter, final_log_likelihood=float("nan"),
+            )
+        return model, part
+
+    return fit
 
 
 def make_blobs(centers, n_per, sigma=1.0, seed=0):

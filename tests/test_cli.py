@@ -14,12 +14,14 @@ import pytest
 
 import clustersweep
 from clustersweep import naming
-from clustersweep.cli import RunConfig, build_parser, main, parse_threshold, resolve_config
+from clustersweep.cli import (
+    RunConfig, _load_texts, build_parser, main, parse_threshold, resolve_config,
+)
 from clustersweep.data import load_embeddings, load_partition, save_embeddings
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
-from conftest import make_blobs, make_matrix, spread_centers, write_binary_unchecked
+from conftest import failing_fit, make_blobs, make_matrix, spread_centers, write_binary_unchecked
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +385,24 @@ class TestStabilityCommand:
         assert f"{other}: {message}" in capsys.readouterr().err
         assert not (out / "stability_seeds.csv").exists()
 
+    @pytest.mark.parametrize("failure, code, message", [
+        ("nan", 3, "non-finite log-likelihood at K=3 in seed_variation seed 1: nan"),
+        ("raise", 2, "while fitting K=3 in seed_variation seed 1: synthetic failure"),
+    ], ids=["nan", "raise"])
+    def test_failed_refit_exits_naming_kind_seed_and_k(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, failure, code, message
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit(failure, k=3))
+        capsys.readouterr()
+        assert main([
+            "stability", "--out", str(out), "--k-max", "5",
+            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "2",
+        ]) == code
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("stability_*"))
+
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
@@ -644,6 +664,25 @@ class TestNameCommand:
         texts.write_text((fixture_dir / "texts.csv").read_text() + "7,another text\n")
         assert main(["name", "--out", str(out), "--texts", str(texts), "--fallback"]) == 2
         assert f"{texts}: id '7' repeats in rows 7 and 200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, fields", [("7,proud dad, runner and maga", 3), ("7", 1)],
+                             ids=["unquoted-comma", "one-field"])
+    def test_texts_row_without_two_fields_exits_2_naming_it(
+        self, fixture_dir, tmp_path, capsys, row, fields
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        lines = (fixture_dir / "texts.csv").read_text().splitlines(keepends=True)
+        lines[1 + 7] = row + "\n"  # the header, then rows 0..7
+        texts = tmp_path / "texts.csv"
+        texts.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["name", "--out", str(out), "--texts", str(texts), "--fallback"]) == 2
+        assert f"{texts}: row 7 is not an id,text pair (fields: {fields})" in capsys.readouterr().err
+
+    def test_quoted_comma_stays_in_the_text(self, tmp_path):
+        (tmp_path / "texts.csv").write_text('id,text\n7,loving yoga\n9,"quoted, fine"\n')
+        assert _load_texts(tmp_path / "texts.csv") == {"7": "loving yoga", "9": "quoted, fine"}
 
     def test_tokenizes_each_id_once_in_any_partition_row_order(
         self, fixture_dir, tmp_path, monkeypatch

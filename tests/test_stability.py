@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import clustersweep.gmm
 from clustersweep import stability
+from clustersweep.errors import ClusterSweepError, NumericFailure
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import run_sweep
 from clustersweep.stability import (
@@ -19,7 +21,7 @@ from clustersweep.stability import (
     write_curve_reps_csv,
 )
 
-from conftest import make_blobs, spread_centers
+from conftest import failing_fit, make_blobs, spread_centers
 
 BASE = GmmConfig(k=1)
 
@@ -100,6 +102,20 @@ class TestAllKinds:
             assert serial.per_rep.shape == (len(reps), k_range[1] - k_range[0] + 1)
         # Each repetition is drawn once, not once per K.
         assert draws == reps * 4
+
+    @pytest.mark.parametrize("failure, error, message", [
+        ("nan", NumericFailure, "non-finite log-likelihood at K=3 in {where}: nan"),
+        ("raise", ClusterSweepError, "while fitting K=3 in {where}: synthetic failure"),
+    ], ids=["nan", "raise"])
+    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
+    def test_failed_refit_names_kind_repetition_and_k(
+        self, small_blobs, sweep, spec, failure, error, message, monkeypatch
+    ):
+        reference = sweep(1, 5)
+        monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit(failure, k=3))
+        rep = "seed 1" if spec.kind == "seed_variation" else "repetition 0"
+        with pytest.raises(error, match=re.escape(message.format(where=f"{spec.kind} {rep}"))):
+            run_protocol(small_blobs, reference, spec, jobs=2)
 
 
 class TestDimensionStability:
