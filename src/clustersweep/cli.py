@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -145,11 +146,14 @@ def _fits(value, annotation: str) -> bool:
 
 
 def parse_threshold(text: str, n: int) -> int:
-    """Absolute count ("150"), percentage ("0.5%"), or fraction of n ("0.005")."""
+    """A finite, nonnegative count ("150"), percentage ("0.5%"), or fraction of n ("0.005")."""
     s = str(text).strip()
     try:
         if s.endswith("%"):
-            return round(float(s[:-1]) / 100.0 * n)
+            percent = float(s[:-1])
+            if not (0.0 <= percent < math.inf):
+                raise ValueError
+            return round(percent / 100.0 * n)
         if "." in s or "e" in s.lower():
             frac = float(s)
             if not (0.0 <= frac <= 1.0):
@@ -256,6 +260,8 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def cmd_stability(config: RunConfig) -> int:
     """Run the perturbation protocols against the archived partitions."""
+    if not config.kinds:
+        raise ValueError("kinds is empty; stability needs at least one kind")
     out = Path(config.out)
     archive = pipeline.read_archive(out)
     if archive.k_min > config.k_min or archive.k_max < config.k_max:
@@ -280,6 +286,9 @@ def cmd_stability(config: RunConfig) -> int:
     _check_sweep_input(data, archive, config.input, out)
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
 
+    # The combined file holds this run's kinds only, and only once every kind has run.
+    combined = out / "stability_combined.csv"
+    combined.unlink(missing_ok=True)
     curves = []
     for token, spec in zip(config.kinds, config.specs):
         curve = stability.run_protocol(data, sweep, spec, jobs=config.jobs)
@@ -288,8 +297,7 @@ def cmd_stability(config: RunConfig) -> int:
         stability.write_curve_reps_csv(curve, out / f"stability_{token}_reps.csv")
         print(f"{token}: wrote {out / f'stability_{token}.csv'}", file=sys.stderr)
         curves.append(curve)
-    if len(curves) > 1:
-        stability.write_combined_csv(curves, out / "stability_combined.csv")
+    stability.write_combined_csv(curves, combined)
     return 0
 
 
@@ -304,7 +312,7 @@ def cmd_sankey(config: RunConfig) -> int:
     sankey.export_json(graph, out / "graph.json")
     sankey.export_html(graph, out / "graph.html")
     print(
-        f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges "
+        f"graph: {len(graph['nodes'])} nodes, {len(graph['edges'])} edges "
         f"(threshold {threshold}); wrote {out / 'graph.json'} and {out / 'graph.html'}",
         file=sys.stderr,
     )

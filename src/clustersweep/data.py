@@ -173,18 +173,22 @@ def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partiti
     return a_out, b_out
 
 
-def _check_id(row_id: str, row: int, path: Path) -> None:
+def _check_id(row_id: str, row: int, path: Path, seen: dict[str, int]) -> None:
     """Hold ``row_id`` to the id rule of every file format, or raise ParseError.
 
     An id has no comma and no line break, and does not start or end with
     whitespace: CSV rows split at commas and line breaks, and the partition
-    reader strips each line.
+    reader strips each line. No id repeats: ``seen`` maps each earlier row's
+    id to its row, and gains this one.
     """
     if any(ch in row_id for ch in ",\r\n") or row_id != row_id.strip():
         raise ParseError(
             f"{path}: row {row}: id {row_id!r} contains a comma or a line break, "
             "or starts or ends with whitespace"
         )
+    if row_id in seen:
+        raise ParseError(f"{path}: id {row_id!r} repeats in rows {seen[row_id]} and {row}")
+    seen[row_id] = row
 
 
 def _is_float(token: str) -> bool:
@@ -245,14 +249,14 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
     else:
         has_ids = not _is_float(data_rows[0][0])
 
-    width = len(data_rows[0])
+    width, seen = len(data_rows[0]), {}
     for r, fields in enumerate(data_rows):
         if len(fields) != width:
             raise DimensionMismatch(
                 f"{path}: row {r} has {len(fields)} fields, expected {width}"
             )
         if has_ids:
-            _check_id(fields[0], r, path)
+            _check_id(fields[0], r, path, seen)
     ids = [f[0] for f in data_rows] if has_ids else [str(r) for r in range(len(data_rows))]
     tokens = [f[1:] for f in data_rows] if has_ids else data_rows
     # numpy converts each str with float()'s rules; on a failure the tokens are
@@ -302,8 +306,9 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     ids = id_block.split("\n")
     if len(ids) != n:
         raise ParseError(f"{path}: expected {n} ids, found {len(ids)}")
+    seen = {}
     for r in range(n):
-        _check_id(ids[r], r, path)
+        _check_id(ids[r], r, path, seen)
         row = values[r]
         if not np.isfinite(row).all():
             c = int(np.flatnonzero(~np.isfinite(row))[0])
@@ -320,8 +325,9 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
     path = Path(path)
     if format not in ("csv", "bin"):
         raise ParseError(f"unknown embedding format: {format!r}")
+    seen = {}
     for r, row_id in enumerate(matrix.ids):
-        _check_id(row_id, r, path)
+        _check_id(row_id, r, path, seen)
     if format == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cols = ",".join(f"e{c}" for c in range(matrix.d))

@@ -15,10 +15,9 @@ import math
 import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -448,18 +447,6 @@ def _pin_blas() -> None:
               "so model files may depend on its thread count", file=sys.stderr)
     else:
         setter(1)
-
-
-def _map_ordered(fn: Callable, items: Iterable, jobs: int) -> list:
-    """The executor for independent fits: ``[fn(x) for x in items]``, threaded if jobs > 1.
-
-    BLAS is pinned before any worker thread starts.
-    """
-    _pin_blas()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _json_number(x) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -112,7 +113,12 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
         return model, score(k, part) if score else part
 
     order = sorted(ks, reverse=True)
-    fitted = dict(zip(order, gmm._map_ordered(fit_one, order, jobs)))
+    gmm._pin_blas()  # before any worker thread starts
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            fitted = dict(zip(order, pool.map(fit_one, order)))
+    else:
+        fitted = {k: fit_one(k) for k in order}
     for k in reversed(order):
         ll = fitted[k][0].final_log_likelihood
         if not math.isfinite(ll):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .data import ContingencyTable, build_contingency
 from .errors import InsufficientResolutions
@@ -34,60 +35,20 @@ NODE_W = 14
 NODE_PAD = 8
 
 
-def node_id(k: int, cluster: int) -> str:
-    return f"K{k}-C{cluster}"
-
-
-@dataclass(frozen=True)
-class SankeyNode:
-    k: int
-    cluster: int
-    label: str
-    size: int
-    stability: float
-
-    @property
-    def id(self) -> str:
-        return node_id(self.k, self.cluster)
-
-
-@dataclass(frozen=True)
-class SankeyEdge:
-    source_k: int
-    source_cluster: int
-    target_cluster: int
-    flow: int
-
-    @property
-    def source(self) -> str:
-        return node_id(self.source_k, self.source_cluster)
-
-    @property
-    def target(self) -> str:
-        return node_id(self.source_k + 1, self.target_cluster)
-
-
-@dataclass(frozen=True)
-class SankeyGraph:
-    k_min: int
-    k_max: int
-    nodes: tuple[SankeyNode, ...]
-    edges: tuple[SankeyEdge, ...]
-    filter_threshold: int
-    dropped_flow: tuple[tuple[int, int], ...]  # (k, items dropped on k -> k+1)
-
-
 def build_graph(
     result: SweepResult,
     names: dict[tuple[int, int], str] | None = None,
     threshold: int = 150,
-) -> SankeyGraph:
-    """Assemble the transition graph from a sweep, dropping sub-threshold flows.
+) -> dict:
+    """The transition graph of a sweep as its graph.json document, sub-threshold flows dropped.
 
-    Node stability is the per-cluster proportional-stability ratio against
-    resolution k-1 (1.0 at the first resolution). Labels fall back to
-    "K{k}-C{cluster}" when no name map entry exists. Nodes are ordered by
-    descending size then cluster index within each resolution.
+    The document holds ``version``, ``threshold``, ``nodes`` (id "K{k}-C{cluster}",
+    k, cluster, label, size, stability), ``edges`` (source and target ids, flow)
+    and ``dropped_flow`` (k, items on k -> k+1 below the threshold). Node
+    stability is the per-cluster proportional-stability ratio against
+    resolution k-1 (1.0 at the first resolution). Labels fall back to the id
+    when no name map entry exists. Nodes are ordered by ascending k, then by
+    descending size and cluster index within each resolution.
 
     Raises:
         InsufficientResolutions: if the sweep spans fewer than 2 resolutions.
@@ -114,69 +75,28 @@ def build_graph(
             ratios = {cs.cluster: cs.ratio for cs in stability.per_cluster}
         occupied = [c for c in range(len(sizes)) if sizes[c] > 0]
         for c in sorted(occupied, key=lambda c: (-int(sizes[c]), c)):
-            nodes.append(
-                SankeyNode(
-                    k=k,
-                    cluster=c,
-                    label=names.get((k, c), node_id(k, c)),
-                    size=int(sizes[c]),
-                    stability=float(ratios[c]),
-                )
-            )
+            nodes.append({
+                "id": f"K{k}-C{c}", "k": k, "cluster": c,
+                "label": names.get((k, c), f"K{k}-C{c}"),
+                "size": int(sizes[c]), "stability": float(ratios[c]),
+            })
 
-    edges = []
-    dropped = []
+    edges, dropped = [], []
     for k, table in tables.items():
-        removed = 0
-        for i in range(table.counts.shape[0]):
-            for j in range(table.counts.shape[1]):
-                flow = int(table.counts[i, j])
-                if flow == 0:
-                    continue
-                if flow >= threshold:
-                    edges.append(
-                        SankeyEdge(source_k=k, source_cluster=i, target_cluster=j, flow=flow)
-                    )
-                else:
-                    removed += flow
-        dropped.append((k, removed))
-
-    return SankeyGraph(
-        k_min=result.k_min,
-        k_max=result.k_max,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        filter_threshold=threshold,
-        dropped_flow=tuple(dropped),
-    )
+        kept = table.counts >= max(threshold, 1)  # a zero flow is no edge, even at 0
+        edges += [
+            {"source": f"K{k}-C{i}", "target": f"K{k + 1}-C{j}", "flow": int(table.counts[i, j])}
+            for i, j in zip(*np.nonzero(kept))
+        ]
+        dropped.append({"k": k, "items": int(table.counts[~kept].sum())})
+    return {"version": 1, "threshold": threshold, "nodes": nodes, "edges": edges,
+            "dropped_flow": dropped}
 
 
-def graph_to_json_dict(g: SankeyGraph) -> dict:
-    return {
-        "version": 1,
-        "threshold": g.filter_threshold,
-        "nodes": [
-            {
-                "id": n.id,
-                "k": n.k,
-                "cluster": n.cluster,
-                "label": n.label,
-                "size": n.size,
-                "stability": n.stability,
-            }
-            for n in g.nodes
-        ],
-        "edges": [
-            {"source": e.source, "target": e.target, "flow": e.flow} for e in g.edges
-        ],
-        "dropped_flow": [{"k": k, "items": items} for k, items in g.dropped_flow],
-    }
-
-
-def export_json(g: SankeyGraph, path: str | Path) -> None:
-    """Write the graph JSON with stable key ordering."""
+def export_json(g: dict, path: str | Path) -> None:
+    """Write the graph document with stable key ordering."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(graph_to_json_dict(g), fh, indent=2)
+        json.dump(g, fh, indent=2)
         fh.write("\n")
 
 
@@ -187,10 +107,12 @@ def stability_color(stability: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float, dict[int, float]]:
-    """Node rectangles, the shared items-to-pixels scale and each column's x by K."""
-    columns = {k: [n for n in g.nodes if n.k == k] for k in range(g.k_min, g.k_max + 1)}
-    total = sum(n.size for n in columns[g.k_min])
+def _layout(g: dict) -> tuple[dict[str, dict], float, dict[int, float]]:
+    """Boxes by node id (the node plus its x, y, h), the items-to-pixels scale, each column's x."""
+    columns: dict[int, list[dict]] = {}  # nodes come in ascending K
+    for n in g["nodes"]:
+        columns.setdefault(n["k"], []).append(n)
+    total = sum(n["size"] for n in next(iter(columns.values())))
     drawable = CANVAS_H - 2 * MARGIN_TOP
     max_count = max(len(ns) for ns in columns.values())
     pad = NODE_PAD
@@ -207,16 +129,16 @@ def _layout(g: SankeyGraph) -> tuple[dict[str, dict], float, dict[int, float]]:
     boxes: dict[str, dict] = {}
     for k, x in xs.items():
         col_nodes = columns[k]
-        col_height = sum(n.size for n in col_nodes) * px + (len(col_nodes) - 1) * pad
+        col_height = sum(n["size"] for n in col_nodes) * px + (len(col_nodes) - 1) * pad
         y = MARGIN_TOP + (drawable - col_height) / 2.0
         for n in col_nodes:
-            h = n.size * px
-            boxes[n.id] = {"node": n, "x": x, "y": y, "h": h}
+            h = n["size"] * px
+            boxes[n["id"]] = {**n, "x": x, "y": y, "h": h}
             y += h + pad
     return boxes, px, xs
 
 
-def render_svg(g: SankeyGraph) -> str:
+def render_svg(g: dict) -> str:
     """Static SVG: stacked node rectangles per resolution, ribbons sized by flow."""
     boxes, px, xs = _layout(g)
     # No xmlns attribute: the SVG is inlined into HTML, where the parser
@@ -229,20 +151,22 @@ def render_svg(g: SankeyGraph) -> str:
     # Ribbons first so nodes draw on top. Slice offsets walk down each node
     # edge in target/source vertical order to limit crossings.
     out_cursor = {nid: b["y"] for nid, b in boxes.items()}
-    in_cursor = {nid: b["y"] for nid, b in boxes.items()}
-    edges = sorted(
-        g.edges,
-        key=lambda e: (e.source_k, boxes[e.source]["y"], boxes[e.target]["y"], e.target_cluster),
-    )
-    for e in edges:
-        sb, tb = boxes[e.source], boxes[e.target]
-        h = e.flow * px
+    in_cursor = dict(out_cursor)
+
+    def order(e: dict) -> tuple:
+        sb, tb = boxes[e["source"]], boxes[e["target"]]
+        return sb["k"], sb["y"], tb["y"], tb["cluster"]
+
+    for e in sorted(g["edges"], key=order):
+        source, target, flow = e["source"], e["target"], e["flow"]
+        sb, tb = boxes[source], boxes[target]
+        h = flow * px
         sx = sb["x"] + NODE_W
         tx = tb["x"]
-        sy = out_cursor[e.source]
-        ty = in_cursor[e.target]
-        out_cursor[e.source] = sy + h
-        in_cursor[e.target] = ty + h
+        sy = out_cursor[source]
+        ty = in_cursor[target]
+        out_cursor[source] = sy + h
+        in_cursor[target] = ty + h
         mx = (sx + tx) / 2.0
         d = (
             f"M {sx:.2f},{sy:.2f} "
@@ -250,29 +174,29 @@ def render_svg(g: SankeyGraph) -> str:
             f"L {tx:.2f},{ty + h:.2f} "
             f"C {mx:.2f},{ty + h:.2f} {mx:.2f},{sy + h:.2f} {sx:.2f},{sy + h:.2f} Z"
         )
-        color = stability_color(tb["node"].stability)
         parts.append(
-            f'<path class="flow" d="{d}" fill="{color}" fill-opacity="0.40" '
-            f'data-flow="{e.flow}" data-source="{e.source}" data-target="{e.target}">'
-            f"<title>{html.escape(e.source)} → {html.escape(e.target)}: {e.flow}</title></path>"
+            f'<path class="flow" d="{d}" fill="{stability_color(tb["stability"])}" '
+            f'fill-opacity="0.40" data-flow="{flow}" data-source="{source}" data-target="{target}">'
+            f"<title>{html.escape(source)} → {html.escape(target)}: {flow}</title></path>"
         )
 
-    for nid, b in boxes.items():
-        n = b["node"]
+    k_last = max(xs)
+    for b in boxes.values():
+        label = html.escape(b["label"])
         parts.append(
             f'<rect class="node" x="{b["x"]:.2f}" y="{b["y"]:.2f}" width="{NODE_W}" '
-            f'height="{max(b["h"], 0.5):.2f}" fill="{stability_color(n.stability)}" '
-            f'stroke="#333333" stroke-width="0.5" data-id="{n.id}" data-size="{n.size}">'
-            f"<title>{html.escape(n.label)} (size {n.size}, stability {n.stability:.3f})</title></rect>"
+            f'height="{max(b["h"], 0.5):.2f}" fill="{stability_color(b["stability"])}" '
+            f'stroke="#333333" stroke-width="0.5" data-id="{b["id"]}" data-size="{b["size"]}">'
+            f'<title>{label} (size {b["size"]}, stability {b["stability"]:.3f})</title></rect>'
         )
-        if n.k < g.k_max:
+        if b["k"] < k_last:
             tx, anchor = b["x"] + NODE_W + 4, "start"
         else:
             tx, anchor = b["x"] - 4, "end"
         ty = b["y"] + max(b["h"], 0.5) / 2.0 + 3.5
         parts.append(
             f'<text x="{tx:.2f}" y="{ty:.2f}" text-anchor="{anchor}" font-size="10">'
-            f"{html.escape(n.label)}</text>"
+            f"{label}</text>"
         )
 
     for k, x in xs.items():
@@ -315,12 +239,12 @@ the embedded data).</p>
 """
 
 
-def export_html(g: SankeyGraph, path: str | Path) -> None:
-    """Write one self-contained HTML document: inline SVG plus embedded JSON."""
-    graph_json = json.dumps(graph_to_json_dict(g), indent=2, ensure_ascii=True)
+def export_html(g: dict, path: str | Path) -> None:
+    """Write one self-contained HTML document: inline SVG plus the embedded graph document."""
+    graph_json = json.dumps(g, indent=2, ensure_ascii=True)
     # "</" must not appear inside the inline script block.
     graph_json = graph_json.replace("</", "<\\/")
     doc = _HTML_TEMPLATE.format(
-        threshold=g.filter_threshold, svg=render_svg(g), graph_json=graph_json
+        threshold=g["threshold"], svg=render_svg(g), graph_json=graph_json
     )
     Path(path).write_text(doc, encoding="utf-8", newline="\n")

@@ -21,7 +21,7 @@ from clustersweep.naming import (
     FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster, tokenize,
 )
 from clustersweep.pipeline import run_sweep
-from clustersweep.sankey import build_graph, export_html, export_json, graph_to_json_dict
+from clustersweep.sankey import build_graph, export_html, export_json
 from clustersweep.stability import (
     PerturbationSpec,
     dimension_stability,
@@ -251,24 +251,24 @@ def test_criterion_06_sankey_integrity(nested_blobs, tmp_path):
         result = run_sweep(data, GmmConfig(k=1), 1, 4)
 
         g0 = build_graph(result, threshold=0)
-        for node in g0.nodes:
-            if node.k > g0.k_min:
-                inflow = sum(e.flow for e in g0.edges if e.target == node.id)
-                assert inflow == node.size
-            if node.k < g0.k_max:
-                outflow = sum(e.flow for e in g0.edges if e.source == node.id)
-                assert outflow == node.size
+        for node in g0["nodes"]:
+            if node["k"] > result.k_min:
+                inflow = sum(e["flow"] for e in g0["edges"] if e["target"] == node["id"])
+                assert inflow == node["size"]
+            if node["k"] < result.k_max:
+                outflow = sum(e["flow"] for e in g0["edges"] if e["source"] == node["id"])
+                assert outflow == node["size"]
 
         previous = None
         for t in range(0, data.n + 2, 50):
-            edges = {(e.source, e.target) for e in build_graph(result, threshold=t).edges}
+            edges = {(e["source"], e["target"]) for e in build_graph(result, threshold=t)["edges"]}
             if previous is not None:
                 assert edges <= previous
             previous = edges
 
         g = build_graph(result, threshold=120)
         export_json(g, tmp_path / "graph.json")
-        assert json.loads((tmp_path / "graph.json").read_text()) == graph_to_json_dict(g)
+        assert json.loads((tmp_path / "graph.json").read_text()) == g
 
         export_html(g, tmp_path / "graph.html")
         doc = (tmp_path / "graph.html").read_text().lower()

@@ -82,6 +82,9 @@ class TestThresholdParsing:
             parse_threshold("many", 100)
         with pytest.raises(ValueError):
             parse_threshold("-3", 100)
+        for text in ("inf%", "-5%"):
+            with pytest.raises(ValueError, match="bad threshold"):
+                parse_threshold(text, 100)
 
 
 class TestConfigResolution:
@@ -314,6 +317,49 @@ class TestStabilityCommand:
             lines = (out / f"stability_{token}.csv").read_text().splitlines()
             assert len(lines) == 6
         assert (out / "stability_combined.csv").exists()
+
+    def test_combined_csv_holds_the_kinds_of_the_latest_run_only(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        args = ["stability", "--out", str(out), "--k-max", "5", "--reps", "2"]
+        assert main([*args, "--kinds", "dimensions", "rows", "seeds",
+                     "--seed-lo", "1", "--seed-hi", "2"]) == 0
+        assert main([*args, "--kinds", "dimensions", "--fraction", "0.3"]) == 0
+        combined = (out / "stability_combined.csv").read_text().splitlines()
+        curve = (out / "stability_dimensions.csv").read_text().splitlines()
+        assert combined[0] == "k,dimension_subsample_mean,dimension_subsample_std"
+        assert combined[1:] == curve[1:]
+
+    def test_empty_kinds_exits_1_before_touching_the_archive(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        before = sorted(p.name for p in out.iterdir())
+        (tmp_path / "run.json").write_text('{"kinds": []}', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out), "--config", str(tmp_path / "run.json")]) == 1
+        assert "kinds is empty" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_run_whose_second_kind_fails_leaves_no_combined_csv(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        args = ["stability", "--out", str(out), "--k-max", "5", "--kinds", "dimensions", "seeds",
+                "--reps", "2", "--seed-lo", "1", "--seed-hi", "2"]
+        assert main(args) == 0
+        assert (out / "stability_combined.csv").exists()
+        # The first kind's refits fit as usual; once its curve is written, K=3 fails.
+        write_reps = clustersweep.stability.write_curve_reps_csv
+
+        def write_then_fail_k3(curve, path):
+            write_reps(curve, path)
+            monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit("nan", k=3))
+
+        monkeypatch.setattr("clustersweep.stability.write_curve_reps_csv", write_then_fail_k3)
+        assert main(args) == 3
+        assert (out / "stability_dimensions.csv").exists()
+        assert not (out / "stability_combined.csv").exists()
 
     def test_refits_use_archived_fit_settings(self, fixture_dir, tmp_path):
         out = tmp_path / "run"

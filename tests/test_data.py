@@ -274,6 +274,14 @@ class TestIdRule:
         with pytest.raises(ParseError, match=re.escape(f"row 1: id {row_id!r}")):
             load_embeddings(tmp_path / "e.csv", "csv")
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_repeated_id_names_the_file_the_id_and_both_rows(self, tmp_path, fmt):
+        (tmp_path / "e.csv").write_text("id,e0\nx,1.0\ny,2.0\nx,3.0\n", encoding="utf-8")
+        write_binary_unchecked(tmp_path / "e.bin", np.zeros((3, 1)), ["x", "y", "x"])
+        path = tmp_path / f"e.{fmt}"
+        with pytest.raises(ParseError, match=re.escape(f"{path}: id 'x' repeats in rows 0 and 2")):
+            load_embeddings(path, fmt)
+
     def test_ids_that_are_not_utf8_are_a_parse_error(self, tmp_path):
         write_binary_unchecked(tmp_path / "e.bin", np.zeros((1, 1)), [])
         (tmp_path / "e.bin").write_bytes((tmp_path / "e.bin").read_bytes() + b"\xff")

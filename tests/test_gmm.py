@@ -8,6 +8,7 @@ import pickle
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,8 @@ class TestSeedingPlan:
             same = fresh()
             runs[label] = model_bytes(label, [(k, fit(same, config.with_k(k))) for k in order])
         same = fresh()
-        fits = clustersweep.gmm._map_ordered(lambda k: fit(same, config.with_k(k)), ks[::-1], 2)
+        with ThreadPoolExecutor(2) as pool:
+            fits = list(pool.map(lambda k: fit(same, config.with_k(k)), ks[::-1]))
         runs["jobs=2"] = model_bytes("jobs2", zip(ks[::-1], fits))
         warm = fresh()
         for n_trials in {_n_trials(k) for k in ks}:

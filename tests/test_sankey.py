@@ -6,6 +6,7 @@ import pytest
 
 import clustersweep.metrics
 import clustersweep.sankey
+from clustersweep.data import build_contingency
 from clustersweep.errors import InsufficientResolutions
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import proportional_stability
@@ -16,7 +17,6 @@ from clustersweep.sankey import (
     build_graph,
     export_html,
     export_json,
-    graph_to_json_dict,
     stability_color,
 )
 
@@ -30,23 +30,27 @@ def blob_sweep():
 
 
 def incoming(graph, node):
-    return [e for e in graph.edges if e.target == node.id]
+    return [e for e in graph["edges"] if e["target"] == node["id"]]
 
 
 def outgoing(graph, node):
-    return [e for e in graph.edges if e.source == node.id]
+    return [e for e in graph["edges"] if e["source"] == node["id"]]
+
+
+def source_k(graph, edge):
+    return next(n["k"] for n in graph["nodes"] if n["id"] == edge["source"])
 
 
 class TestBuildGraph:
     def test_threshold_zero_conserves_flow(self, blob_sweep):
         data, result = blob_sweep
         g = build_graph(result, threshold=0)
-        for node in g.nodes:
-            if node.k > g.k_min:
-                assert sum(e.flow for e in incoming(g, node)) == node.size
-            if node.k < g.k_max:
-                assert sum(e.flow for e in outgoing(g, node)) == node.size
-        assert all(items == 0 for _, items in g.dropped_flow)
+        for node in g["nodes"]:
+            if node["k"] > result.k_min:
+                assert sum(e["flow"] for e in incoming(g, node)) == node["size"]
+            if node["k"] < result.k_max:
+                assert sum(e["flow"] for e in outgoing(g, node)) == node["size"]
+        assert all(d["items"] == 0 for d in g["dropped_flow"])
 
     def test_one_table_per_transition_gives_each_node_its_parentage(
         self, blob_sweep, monkeypatch
@@ -59,32 +63,45 @@ class TestBuildGraph:
                                 lambda a, b: calls.append(1) or real(a, b))
         g = build_graph(result, threshold=0)
         assert len(calls) == result.k_max - result.k_min
-        for node in g.nodes:
-            if node.k > g.k_min:
-                ratios = proportional_stability(result.partitions[node.k],
-                                                result.partitions[node.k - 1]).per_cluster
-                assert node.stability == {c.cluster: c.ratio for c in ratios}[node.cluster]
+        for node in g["nodes"]:
+            if node["k"] > result.k_min:
+                ratios = proportional_stability(result.partitions[node["k"]],
+                                                result.partitions[node["k"] - 1]).per_cluster
+                assert node["stability"] == {c.cluster: c.ratio for c in ratios}[node["cluster"]]
 
     def test_threshold_above_n_drops_everything(self, blob_sweep):
         data, result = blob_sweep
         g = build_graph(result, threshold=data.n + 1)
-        assert g.edges == ()
-        assert all(items == data.n for _, items in g.dropped_flow)
+        assert g["edges"] == []
+        assert all(d["items"] == data.n for d in g["dropped_flow"])
 
     def test_blob_sweep_is_a_clean_split_tree(self, blob_sweep):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
         for k in range(1, 4):
-            transition_edges = [e for e in g.edges if e.source_k == k]
+            transition_edges = [e for e in g["edges"] if source_k(g, e) == k]
             # k clusters pass through, one splits in two: k+1 edges.
             assert len(transition_edges) == k + 1
+
+    def test_edges_are_the_nonzero_cells_at_or_above_threshold_in_table_order(self, blob_sweep):
+        _, result = blob_sweep
+        for threshold in (0, 30):
+            expected = []
+            for k in range(result.k_min, result.k_max):
+                counts = build_contingency(result.partitions[k], result.partitions[k + 1]).counts
+                for i in range(counts.shape[0]):
+                    for j in range(counts.shape[1]):
+                        if counts[i, j] and counts[i, j] >= threshold:
+                            expected.append({"source": f"K{k}-C{i}", "target": f"K{k + 1}-C{j}",
+                                             "flow": int(counts[i, j])})
+            assert build_graph(result, threshold=threshold)["edges"] == expected
 
     def test_conservation_with_dropped_accounting(self, blob_sweep):
         data, result = blob_sweep
         g = build_graph(result, threshold=30)
-        dropped = dict(g.dropped_flow)
-        for k in range(g.k_min, g.k_max):
-            retained = sum(e.flow for e in g.edges if e.source_k == k)
+        dropped = {d["k"]: d["items"] for d in g["dropped_flow"]}
+        for k in range(result.k_min, result.k_max):
+            retained = sum(e["flow"] for e in g["edges"] if source_k(g, e) == k)
             assert retained + dropped[k] == data.n
 
     def test_monotone_filtering(self, blob_sweep):
@@ -92,8 +109,8 @@ class TestBuildGraph:
         previous = None
         for threshold in (0, 10, 50, 120, 400):
             edges = {
-                (e.source, e.target): e.flow
-                for e in build_graph(result, threshold=threshold).edges
+                (e["source"], e["target"]): e["flow"]
+                for e in build_graph(result, threshold=threshold)["edges"]
             }
             if previous is not None:
                 assert set(edges) <= set(previous)
@@ -102,31 +119,31 @@ class TestBuildGraph:
     def test_node_stability_matches_metrics(self, blob_sweep):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
-        for node in g.nodes:
-            if node.k == g.k_min:
-                assert node.stability == 1.0
+        for node in g["nodes"]:
+            if node["k"] == result.k_min:
+                assert node["stability"] == 1.0
             else:
                 per_cluster = {
                     cs.cluster: cs.ratio
-                    for cs in result.comparison_at(node.k).stability.per_cluster
+                    for cs in result.comparison_at(node["k"]).stability.per_cluster
                 }
-                assert node.stability == per_cluster[node.cluster]
+                assert node["stability"] == per_cluster[node["cluster"]]
 
     def test_node_count_and_order(self, blob_sweep):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
         expected = sum(result.partitions[k].occupied_clusters() for k in range(1, 5))
-        assert len(g.nodes) == expected
-        for k in range(g.k_min, g.k_max + 1):
-            sizes = [n.size for n in g.nodes if n.k == k]
+        assert len(g["nodes"]) == expected
+        for k in range(result.k_min, result.k_max + 1):
+            sizes = [n["size"] for n in g["nodes"] if n["k"] == k]
             assert sizes == sorted(sizes, reverse=True)
 
     def test_default_and_custom_labels(self, blob_sweep):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
-        assert {n.label for n in g.nodes if n.k == 1} == {"K1-C0"}
+        assert {n["label"] for n in g["nodes"] if n["k"] == 1} == {"K1-C0"}
         named = build_graph(result, names={(1, 0): "Everything"}, threshold=0)
-        assert {n.label for n in named.nodes if n.k == 1} == {"Everything"}
+        assert {n["label"] for n in named["nodes"] if n["k"] == 1} == {"Everything"}
 
     def test_needs_two_resolutions(self):
         data, _ = make_blobs([[0.0, 0.0]], n_per=20, sigma=1.0, seed=5)
@@ -140,7 +157,7 @@ class TestJsonExport:
         _, result = blob_sweep
         g = build_graph(result, threshold=25)
         export_json(g, tmp_path / "g.json")
-        assert json.loads((tmp_path / "g.json").read_text()) == graph_to_json_dict(g)
+        assert json.loads((tmp_path / "g.json").read_text()) == g
 
     def test_schema(self, blob_sweep, tmp_path):
         _, result = blob_sweep
@@ -160,7 +177,7 @@ class TestJsonExport:
         export_json(g, tmp_path / "g.json")
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["edges"] == []
-        assert doc == graph_to_json_dict(g)
+        assert doc == g
 
 
 class TestColors:
@@ -198,8 +215,9 @@ class TestHtmlExport:
             re.S,
         ).group(1)
         embedded = json.loads(payload)
-        assert len(embedded["nodes"]) == len(g.nodes)
-        assert len(embedded["edges"]) == len(g.edges)
+        assert embedded == g
+        assert len(embedded["nodes"]) == len(g["nodes"])
+        assert len(embedded["edges"]) == len(g["edges"])
 
     def test_full_stability_nodes_use_light_endpoint(self, blob_sweep, tmp_path):
         _, result = blob_sweep
@@ -207,9 +225,9 @@ class TestHtmlExport:
         export_html(g, tmp_path / "g.html")
         doc = (tmp_path / "g.html").read_text()
         light = "#{:02x}{:02x}{:02x}".format(*RAMP_LIGHT)
-        for node in g.nodes:
-            if node.stability == 1.0:
-                rect = re.search(rf'<rect[^>]*data-id="{node.id}"[^>]*>', doc)
+        for node in g["nodes"]:
+            if node["stability"] == 1.0:
+                rect = re.search(rf'<rect[^>]*data-id="{node["id"]}"[^>]*>', doc)
                 assert f'fill="{light}"' in rect.group(0)
 
     def test_ribbon_thickness_proportional_to_flow(self, blob_sweep, tmp_path):
@@ -226,7 +244,7 @@ class TestHtmlExport:
             sy0, ty0, ty1, flow = float(m.group(1)), float(m.group(3)), float(m.group(4)), int(m.group(5))
             thickness = ty1 - ty0
             ratios.append((flow, thickness))
-        assert len(ratios) == len(g.edges)
+        assert len(ratios) == len(g["edges"])
         scale = max(t / f for f, t in ratios)
         for flow, thickness in ratios:
             assert abs(thickness - scale * flow) <= 1.0  # within one pixel
