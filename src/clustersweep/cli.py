@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -41,11 +40,8 @@ KIND_TOKENS = {
 }
 
 COMMANDS = ("sweep", "stability", "sankey", "name")
-# The stages that load the embedding file and fit on it (input, format, jobs), and
-# those that read the fit settings: name samples texts with the seed and rejects
-# settings that contradict the archive.
+# The stages that load the embedding file and fit on it (input, format, jobs).
 READ_INPUT = ("sweep", "stability")
-READ_FIT = ("sweep", "stability", "name")
 
 # Exit code per error type; the first match wins.
 EXIT_CODES = (
@@ -82,16 +78,15 @@ class RunConfig:
     out: str = _setting("clustersweep-run", "run archive directory")
     k_min: int = _setting(1, "lowest cluster count")
     k_max: int = _setting(20, "highest cluster count")
-    seed: int = _setting(0, "base RNG seed for fits", *READ_FIT)
-    max_iter: int = _setting(2000, "EM iteration cap", *READ_FIT)
-    tol: float = _setting(1e-3, "EM convergence threshold", *READ_FIT)
-    reg_covar: float = _setting(1e-6, "variance floor", *READ_FIT)
+    seed: int = _setting(0, "base RNG seed for fits", "sweep")
+    max_iter: int = _setting(2000, "EM iteration cap", "sweep")
+    tol: float = _setting(1e-3, "EM convergence threshold", "sweep")
+    reg_covar: float = _setting(1e-6, "variance floor", "sweep")
     jobs: int = _setting(1, "worker threads for independent fits", *READ_INPUT)
     fraction: float = _setting(0.8, "subsample fraction", "stability")
     repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
     seed_lo: int = _setting(1, "first comparison seed", "stability")
     seed_hi: int = _setting(100, "last comparison seed", "stability")
-    master_seed: int = _setting(0, "subsample draw seed", "stability")
     kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
     threshold: str = _setting("150", "minimum edge flow: int, fraction, or 'x%%'", "sankey")
     names: str | None = _setting(None, "name table CSV for node labels", "sankey")
@@ -130,7 +125,7 @@ class RunConfig:
     def specs(self) -> list[stability.PerturbationSpec]:
         """One protocol spec per entry of ``kinds``."""
         kw = dict(fraction=self.fraction, repetitions=self.repetitions,
-                  seed_range=(self.seed_lo, self.seed_hi), master_seed=self.master_seed)
+                  seed_range=(self.seed_lo, self.seed_hi))
         return [stability.PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
 
 
@@ -146,12 +141,12 @@ def _fits(value, annotation: str) -> bool:
 
 
 def parse_threshold(text: str, n: int) -> int:
-    """A finite, nonnegative count ("150"), percentage ("0.5%"), or fraction of n ("0.005")."""
+    """A nonnegative count ("150"), or a percentage ("0.5%", <= 100) or fraction ("0.005") of n."""
     s = str(text).strip()
     try:
         if s.endswith("%"):
             percent = float(s[:-1])
-            if not (0.0 <= percent < math.inf):
+            if not (0.0 <= percent <= 100.0):
                 raise ValueError
             return round(percent / 100.0 * n)
         if "." in s or "e" in s.lower():
@@ -206,7 +201,7 @@ def _load_input(config: RunConfig) -> EmbeddingMatrix:
 
 
 def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> GmmConfig:
-    """The sweep's fit settings; an explicitly set value that differs is an error."""
+    """The sweep's fit settings; a config-file value that differs is an error."""
     for name in FIT_SETTINGS:
         archived = getattr(archive.base, name)
         if name in config.explicit and getattr(config, name) != archived:
@@ -285,6 +280,8 @@ def cmd_stability(config: RunConfig) -> int:
     data = _load_input(config)
     _check_sweep_input(data, archive, config.input, out)
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
+    for spec in config.specs:  # every kind's fraction, before the first refit
+        stability._draw_size(spec, data, sweep.k_max)
 
     # The combined file holds this run's kinds only, and only once every kind has run.
     combined = out / "stability_combined.csv"

@@ -351,11 +351,8 @@ def save_partition(partition: Partition, path: str | Path) -> None:
             fh.write(f"{item},{int(label)}\n")
 
 
-def load_partition(path: str | Path, k_declared: int | None = None) -> Partition:
-    """Read an "id,label" CSV back into a Partition.
-
-    ``k_declared`` defaults to max label + 1.
-    """
+def load_partition(path: str | Path, k_declared: int) -> Partition:
+    """Read an "id,label" CSV back into a Partition of ``k_declared`` clusters."""
     ids: list[str] = []
     labels: list[int] = []
     try:
@@ -379,5 +376,4 @@ def load_partition(path: str | Path, k_declared: int | None = None) -> Partition
         labels.append(label)
     if not ids:
         raise ParseError(f"{path}: empty partition file")
-    k = k_declared if k_declared is not None else max(labels) + 1
-    return Partition(len(ids), k, np.asarray(labels), tuple(ids))
+    return Partition(len(ids), k_declared, np.asarray(labels), tuple(ids))

@@ -4,8 +4,8 @@ Three perturbations are supported: refitting on a random subset of embedding
 dimensions, refitting on a random subset of rows, and refitting with different
 seeds. Each refit uses the sweep's fit settings and is compared with the
 sweep's partition at the same K. Repetition r draws its randomness from a
-generator seeded by (master_seed, r), so curves reproduce bit-exactly and
-repetitions are independent.
+generator seeded by (0, r), so curves reproduce bit-exactly and repetitions
+are independent.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class PerturbationSpec:
     fraction: float = 0.8
     repetitions: int = 100
     seed_range: tuple[int, int] = (1, 100)
-    master_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -102,10 +101,20 @@ def _run(
     )
 
 
-def _subsample(spec: PerturbationSpec, r: int, n: int, size: int) -> np.ndarray:
+def _subsample(r: int, n: int, size: int) -> np.ndarray:
     """Repetition r's draw of ``size`` distinct indices below n, ascending."""
-    rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, r)))
+    rng = np.random.default_rng(np.random.SeedSequence((0, r)))
     return np.sort(rng.choice(n, size=size, replace=False))
+
+
+def _draw_size(spec: PerturbationSpec, data: EmbeddingMatrix, k_max: int) -> int:
+    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError."""
+    size = int(spec.fraction * (data.d if spec.kind == "dimension_subsample" else data.n))
+    if spec.kind == "dimension_subsample" and size < 1:
+        raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
+    if spec.kind == "row_subsample" and size < k_max:
+        raise ValueError(f"fraction {spec.fraction} keeps {size} rows < k_max={k_max}")
+    return size
 
 
 def dimension_stability(
@@ -117,12 +126,10 @@ def dimension_stability(
     original order), refits at every K of the sweep, and compares against the
     sweep's partition at the same K. K=1 is 1.0 by convention.
     """
-    n_cols = int(spec.fraction * data.d)
-    if n_cols < 1:
-        raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
+    n_cols = _draw_size(spec, data, sweep.k_max)
     return _run(
         "dimension_subsample", data, sweep, spec, jobs, range(spec.repetitions),
-        lambda r: (data.subset_columns(_subsample(spec, r, data.d, n_cols)), sweep.base),
+        lambda r: (data.subset_columns(_subsample(r, data.d, n_cols)), sweep.base),
     )
 
 
@@ -134,12 +141,10 @@ def row_stability(
     The subsample partition is compared with the sweep's partition restricted
     to the sampled ids, so both sides cover the same items.
     """
-    n_rows = int(spec.fraction * data.n)
-    if n_rows < sweep.k_max:
-        raise ValueError(f"fraction {spec.fraction} keeps {n_rows} rows < k_max={sweep.k_max}")
+    n_rows = _draw_size(spec, data, sweep.k_max)
     return _run(
         "row_subsample", data, sweep, spec, jobs, range(spec.repetitions),
-        lambda r: (data.subset_rows(_subsample(spec, r, data.n, n_rows)), sweep.base),
+        lambda r: (data.subset_rows(_subsample(r, data.n, n_rows)), sweep.base),
         lambda part, ref: ami(*intersect_partitions(part, ref)).ami,
     )
 

@@ -82,7 +82,7 @@ class TestThresholdParsing:
             parse_threshold("many", 100)
         with pytest.raises(ValueError):
             parse_threshold("-3", 100)
-        for text in ("inf%", "-5%"):
+        for text in ("inf%", "-5%", "150%"):
             with pytest.raises(ValueError, match="bad threshold"):
                 parse_threshold(text, 100)
 
@@ -130,8 +130,9 @@ class TestConfigResolution:
         ({"tol": math.nan}, ["tol", "finite"]),
         ({"reg_covar": math.inf}, ["reg_covar", "finite"]),
         ({"fraction": math.nan}, ["fraction"]),
-        # A config.json written while --fit-reference existed.
+        # A config.json written while --fit-reference, or --master-seed, existed.
         ({"fit_reference": False}, ["run.json", "'fit_reference'"]),
+        ({"master_seed": 0}, ["run.json", "'master_seed'"]),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
         (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -146,11 +147,11 @@ FIT_FLAGS = {"--seed", "--max-iter", "--tol", "--reg-covar"}
 INPUT_FLAGS = {"--input", "--format", "--jobs"}
 FLAGS = {
     "sweep": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS,
-    "stability": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS | {
-        "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi", "--master-seed",
+    "stability": ARCHIVE_FLAGS | INPUT_FLAGS | {
+        "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi",
     },
     "sankey": ARCHIVE_FLAGS | {"--threshold", "--names"},
-    "name": ARCHIVE_FLAGS | FIT_FLAGS | {
+    "name": ARCHIVE_FLAGS | {
         "--texts", "--backend-url", "--backend-model", "--response-path", "--token-env",
         "--fallback", "--fallback-on-error", "--stopwords", "--emoji-map",
     },
@@ -198,8 +199,12 @@ class TestParser:
         ["sankey", "--jobs", "2"],
         ["name", "--input", "emb.csv"],
         ["stability", "--fit-reference"],
+        ["stability", "--seed", "3"],
+        ["name", "--tol", "0.001"],
+        ["stability", "--master-seed", "0"],
     ], ids=["bad-int", "unknown-kind", "removed-flag", "sankey-jobs", "name-input",
-            "removed-fit-reference"])
+            "removed-fit-reference", "stability-fit-flag", "name-fit-flag",
+            "removed-master-seed"])
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
@@ -370,17 +375,22 @@ class TestStabilityCommand:
     def test_conflicting_fit_setting_exits_1(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"
         sweep_loose(fixture_dir, out)
-        capsys.readouterr()
-        assert main(["stability", "--out", str(out), *SELF_SEED, "--seed", "3"]) == 1
-        assert "seed" in capsys.readouterr().err
-        (tmp_path / "run.json").write_text('{"tol": 0.001}')
         config = ["--config", str(tmp_path / "run.json")]
-        assert main(["stability", "--out", str(out), *SELF_SEED, *config]) == 1
-        assert "tol" in capsys.readouterr().err
-        texts = ["--texts", str(fixture_dir / "texts.csv"), "--fallback"]
-        assert main(["name", "--out", str(out), *texts, "--seed", "3"]) == 1
-        # Restating the archived value is no conflict.
-        assert main(["stability", "--out", str(out), *SELF_SEED, *LOOSE]) == 0
+        stages = {
+            "stability": ["stability", "--out", str(out), *SELF_SEED, *config],
+            "name": ["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                     "--fallback", *config],
+        }
+        for doc, setting in (({"seed": 3}, "seed"), ({"tol": 0.001}, "tol")):
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            for stage, argv in stages.items():
+                capsys.readouterr()
+                assert main(argv) == 1, stage
+                assert f"{setting} conflicts" in capsys.readouterr().err, stage
+        # A config file restating the archived values is no conflict.
+        (tmp_path / "run.json").write_text('{"seed": 7, "tol": 1e-9, "max_iter": 3}')
+        for stage, argv in stages.items():
+            assert main(argv) == 0, stage
 
     def test_library_archive_fit_settings(self, fixture_dir, tmp_path):
         data = load_embeddings(fixture_dir / "emb.csv")
@@ -787,6 +797,29 @@ class TestDegenerateInputs:
             "--fraction", "0.02", "--kinds", "rows",
         ]) == 1
         assert "keeps 6 rows < k_max=8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, k_max, argv, message", [
+        (np.linspace(0.0, 1.0, 60).reshape(60, 1), "3", ["--kinds", "seeds", "dimensions"],
+         "fraction 0.8 keeps no columns of d=1"),
+        (np.random.default_rng(0).normal(size=(300, 4)), "8",
+         ["--kinds", "seeds", "rows", "--fraction", "0.02"], "keeps 6 rows < k_max=8"),
+    ], ids=["seeds-then-one-column", "seeds-then-rows-below-k-max"])
+    def test_every_kinds_fraction_is_checked_before_the_first_refit(
+        self, tmp_path, capsys, monkeypatch, values, k_max, argv, message
+    ):
+        files = self.write(tmp_path, values)
+        assert main(["sweep", *files, "--k-max", k_max]) == 0
+        fits, real_fit = [], clustersweep.gmm.fit
+        monkeypatch.setattr("clustersweep.gmm.fit",
+                            lambda *a, **kw: fits.append(a[1].k) or real_fit(*a, **kw))
+        capsys.readouterr()
+        assert main([
+            "stability", "--out", str(tmp_path / "run"), "--k-max", k_max,
+            "--reps", "2", "--seed-lo", "1", "--seed-hi", "2", *argv,
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert fits == []
+        assert not list((tmp_path / "run").glob("stability_*"))
 
 
 class TestConsoleScript:

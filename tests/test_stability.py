@@ -94,7 +94,7 @@ class TestAllKinds:
             reps = list(range(spec.repetitions))
             subsample = stability._subsample
             monkeypatch.setattr(stability, "_subsample",
-                                lambda spec, r, *a: draws.append(r) or subsample(spec, r, *a))
+                                lambda r, *a: draws.append(r) or subsample(r, *a))
         for k_range in ((1, 5), (3, 5)):
             serial = run_protocol(small_blobs, sweep(*k_range), spec)
             threaded = run_protocol(small_blobs, sweep(*k_range), spec, jobs=3)
