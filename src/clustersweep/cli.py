@@ -4,7 +4,8 @@ Stages communicate through a run archive directory, so the expensive sweep
 and stability refits never rerun just to tweak a graph or a name table.
 Configuration comes from a JSON file mirroring RunConfig plus flags that
 override it; the effective configuration (defaults included) is written into
-the archive, whose model files then fix the fit settings of the later stages.
+the archive, whose model files then fix the fit settings of the later stages,
+and whose input.bin is the matrix that stability refits.
 Exit codes: 1 config error, 2 IO error, 3 numeric failure,
 4 naming backend unavailable.
 """
@@ -20,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import naming, pipeline, sankey, stability
-from .data import EmbeddingMatrix, load_embeddings
+from .data import load_embeddings
 from .errors import (
     BackendUnavailable,
     ClusterSweepError,
@@ -40,8 +41,6 @@ KIND_TOKENS = {
 }
 
 COMMANDS = ("sweep", "stability", "sankey", "name")
-# The stages that load the embedding file and fit on it (input, format, jobs).
-READ_INPUT = ("sweep", "stability")
 
 # Exit code per error type; the first match wins.
 EXIT_CODES = (
@@ -73,8 +72,8 @@ def _scalar(annotation: str) -> type:
 class RunConfig:
     """Effective settings for one run, each with its flag; defaults mirror the reference protocol."""
 
-    input: str | None = _setting(None, "embedding file", *READ_INPUT)
-    format: str = _setting("csv", "embedding file format: csv or bin", *READ_INPUT)
+    input: str | None = _setting(None, "embedding file", "sweep")
+    format: str = _setting("csv", "embedding file format: csv or bin", "sweep")
     out: str = _setting("clustersweep-run", "run archive directory")
     k_min: int = _setting(1, "lowest cluster count")
     k_max: int = _setting(20, "highest cluster count")
@@ -82,7 +81,7 @@ class RunConfig:
     max_iter: int = _setting(2000, "EM iteration cap", "sweep")
     tol: float = _setting(1e-3, "EM convergence threshold", "sweep")
     reg_covar: float = _setting(1e-6, "variance floor", "sweep")
-    jobs: int = _setting(1, "worker threads for independent fits", *READ_INPUT)
+    jobs: int = _setting(1, "worker threads for independent fits", "sweep", "stability")
     fraction: float = _setting(0.8, "subsample fraction", "stability")
     repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
     seed_lo: int = _setting(1, "first comparison seed", "stability")
@@ -191,15 +190,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_input(config: RunConfig) -> EmbeddingMatrix:
-    if not config.input:
-        raise ValueError("no input file given (--input or config file)")
-    path = Path(config.input)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    return load_embeddings(path, config.format)
-
-
 def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> GmmConfig:
     """The sweep's fit settings; a config-file value that differs is an error."""
     for name in FIT_SETTINGS:
@@ -209,30 +199,13 @@ def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> 
     return archive.base
 
 
-def _check_sweep_input(
-    data: EmbeddingMatrix, archive: pipeline.SweepResult, path: str, out: Path
-) -> None:
-    """Raise ParseError unless ``data`` has the sweep input's ids, in order, and its d."""
-    ids = archive.partitions[archive.k_min].ids
-    if data.ids != ids:
-        got, want = data.ids + (None,), ids + (None,)  # None past the last row
-        r = next(r for r, (a, b) in enumerate(zip(got, want)) if a != b)
-        raise ParseError(
-            f"{path}: row {r} has id {got[r]!r} where "
-            f"{out / f'partition_{archive.k_min}.csv'} has {want[r]!r}; "
-            "stability needs the sweep's input"
-        )
-    for k, model in archive.models.items():
-        if model.means.shape[1] != data.d:
-            raise ParseError(
-                f"{path}: d={data.d} where {out / f'model_{k}.json'} has "
-                f"d={model.means.shape[1]}; stability needs the sweep's input"
-            )
-
-
 def cmd_sweep(config: RunConfig) -> int:
-    """Fit every K and archive the partitions and models."""
-    data = _load_input(config)
+    """Fit every K and archive the input, partitions and models."""
+    if not config.input:
+        raise ValueError("no input file given (--input or config file)")
+    if not Path(config.input).exists():
+        raise FileNotFoundError(f"input file not found: {config.input}")
+    data = load_embeddings(config.input, config.format)
     result = pipeline.run_sweep(data, config.base, config.k_min, config.k_max, jobs=config.jobs)
     pipeline.write_archive(result, config.out, run_config=asdict(config))
 
@@ -265,30 +238,16 @@ def cmd_stability(config: RunConfig) -> int:
             f"requested {config.k_min}..{config.k_max}"
         )
     _archived_fit_settings(config, archive)  # the refits use archive.base
-    if config.input is None:
-        path = out / "config.json"
-        try:
-            archived = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(archived, dict):
-            raise ParseError(f"{path}: must be a JSON object, got {type(archived).__name__}")
-        config.input = archived.get("input")
-        config.format = archived.get("format", config.format)
-        if not (_fits(config.input, "str | None") and _fits(config.format, "str")):
-            raise ParseError(f"{path}: input and format must be strings")
-    data = _load_input(config)
-    _check_sweep_input(data, archive, config.input, out)
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
-    for spec in config.specs:  # every kind's fraction, before the first refit
-        stability._draw_size(spec, data, sweep.k_max)
+    for spec in config.specs:  # input.bin and every kind's fraction, before the first refit
+        stability._draw_size(spec, sweep)
 
     # The combined file holds this run's kinds only, and only once every kind has run.
     combined = out / "stability_combined.csv"
     combined.unlink(missing_ok=True)
     curves = []
     for token, spec in zip(config.kinds, config.specs):
-        curve = stability.run_protocol(data, sweep, spec, jobs=config.jobs)
+        curve = stability.run_protocol(sweep, spec, jobs=config.jobs)
         stability.write_curve_csv(curve, out / f"stability_{token}.csv")
         stability.write_curve_json(curve, out / f"stability_{token}.json")
         stability.write_curve_reps_csv(curve, out / f"stability_{token}_reps.csv")
@@ -395,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func in zip(COMMANDS, (cmd_sweep, cmd_stability, cmd_sankey, cmd_name)):
-        p = sub.add_parser(command, help=func.__doc__)
+        p = sub.add_parser(command, help=func.__doc__, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for f in fields(RunConfig):

@@ -22,18 +22,9 @@ class AmiReport:
 
     mi: float
     emi: float
-    h_u: float
-    h_v: float
+    entropy_u: float
+    entropy_v: float
     ami: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mi": self.mi,
-            "emi": self.emi,
-            "entropy_u": self.h_u,
-            "entropy_v": self.h_v,
-            "ami": self.ami,
-        }
 
 
 @dataclass(frozen=True)
@@ -53,21 +44,6 @@ class StabilityBreakdown:
 
     per_cluster: tuple[ClusterStability, ...]
     average: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_cluster": [
-                {
-                    "cluster": c.cluster,
-                    "size": c.size,
-                    "best_parent": c.best_parent,
-                    "overlap": c.overlap,
-                    "ratio": c.ratio,
-                }
-                for c in self.per_cluster
-            ],
-            "average": self.average,
-        }
 
 
 def _sorted_sum(terms: np.ndarray) -> float:
@@ -207,13 +183,13 @@ def ami_from_table(t: ContingencyTable) -> AmiReport:
     emi = expected_mutual_information(t)
     if h_u == 0.0 and h_v == 0.0:
         # Two trivial clusterings agree perfectly.
-        return AmiReport(mi=mi, emi=emi, h_u=h_u, h_v=h_v, ami=1.0)
+        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=1.0)
     if h_u == 0.0 or h_v == 0.0:
-        return AmiReport(mi=mi, emi=emi, h_u=h_u, h_v=h_v, ami=0.0)
+        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=0.0)
     if _is_one_to_one(t):
         # Identical partition structure; return 1.0 exactly rather than
         # (mi - emi) / (h - emi) with its last-bit noise.
-        return AmiReport(mi=mi, emi=emi, h_u=h_u, h_v=h_v, ami=1.0)
+        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=1.0)
     normalizer = (h_u + h_v) / 2.0
     numerator = mi - emi
     denominator = normalizer - emi
@@ -223,7 +199,7 @@ def ami_from_table(t: ContingencyTable) -> AmiReport:
         value = 1.0 if numerator > 0.0 else 0.0
     else:
         value = numerator / denominator
-    return AmiReport(mi=mi, emi=emi, h_u=h_u, h_v=h_v, ami=value)
+    return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=value)
 
 
 def ami(a: Partition, b: Partition) -> AmiReport:

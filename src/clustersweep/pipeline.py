@@ -2,7 +2,8 @@
 
 Each K is fitted independently with the same seed and config; no information
 flows between resolutions. A run archive is a directory holding config.json,
-partition_K.csv and model_K.json per resolution, and consecutive_metrics.json.
+input.bin (the sweep's input, in the binary embedding format), partition_K.csv
+and model_K.json per resolution, and consecutive_metrics.json.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
 from . import gmm
-from .data import EmbeddingMatrix, Partition, build_contingency, load_partition, save_partition
+from .data import EmbeddingMatrix, Partition, _load_binary, build_contingency, load_partition
+from .data import save_embeddings, save_partition
 from .errors import ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError
 from .gmm import GmmConfig, MixtureModel
 from .metrics import AmiReport, StabilityBreakdown, ami_from_table, stability_from_table
@@ -28,19 +30,21 @@ class ConsecutiveComparison:
     """Metrics between the partition at k_current and the one at k_current - 1."""
 
     k_current: int
+    k_previous: int
     ami: AmiReport
     stability: StabilityBreakdown
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Partitions, models and the fit settings (at k_min) of one sweep."""
+    """Partitions, models, fit settings (at k_min) and input (None if not archived) of a sweep."""
 
     k_min: int
     k_max: int
     partitions: dict[int, Partition]
     models: dict[int, MixtureModel]
     base: GmmConfig
+    data: EmbeddingMatrix | None
 
     @cached_property
     def consecutive(self) -> tuple[ConsecutiveComparison, ...]:
@@ -51,6 +55,7 @@ class SweepResult:
             out.append(
                 ConsecutiveComparison(
                     k_current=k,
+                    k_previous=k - 1,
                     ami=ami_from_table(table),
                     stability=stability_from_table(table),
                 )
@@ -92,6 +97,7 @@ def run_sweep(
         partitions={k: fitted[k][1] for k in ks},
         models={k: fitted[k][0] for k in ks},
         base=base.with_k(k_min),
+        data=data,
     )
 
 
@@ -126,18 +132,6 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
     return fitted
 
 
-def consecutive_to_json(result: SweepResult) -> list[dict]:
-    return [
-        {
-            "k_current": c.k_current,
-            "k_previous": c.k_current - 1,
-            "ami": c.ami.to_json_dict(),
-            "stability": c.stability.to_json_dict(),
-        }
-        for c in result.consecutive
-    ]
-
-
 def write_archive(
     result: SweepResult,
     out_dir: str | Path,
@@ -154,11 +148,13 @@ def write_archive(
     with open(out / "config.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(config_doc, fh, indent=2)
         fh.write("\n")
+    if result.data is not None:
+        save_embeddings(result.data, out / "input.bin", "bin")
     for k in range(result.k_min, result.k_max + 1):
         save_partition(result.partitions[k], out / f"partition_{k}.csv")
         gmm.save_model(result.models[k], result.base.with_k(k), out / f"model_{k}.json")
     with open(out / "consecutive_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(consecutive_to_json(result), fh, indent=2)
+        json.dump([asdict(c) for c in result.consecutive], fh, indent=2)
         fh.write("\n")
 
 
@@ -166,7 +162,9 @@ def read_archive(path: str | Path) -> SweepResult:
     """Load a sweep archive back; consecutive metrics are recomputed exactly on first use.
 
     The K range is the archive's own. Every K needs a model_K.json; their fit
-    settings must agree. Raises MissingArchive if there are no partition files.
+    settings must agree. input.bin, if present, must hold partition_<k_min>.csv's
+    ids, in order, and every model's d; without it ``data`` is None. Raises
+    MissingArchive if there are no partition files.
     """
     root = Path(path)
     ks = sorted(
@@ -189,10 +187,20 @@ def read_archive(path: str | Path) -> SweepResult:
         bases.add(config.with_k(ks[0]))
     if len(bases) > 1:
         raise ParseError(f"{root}: model files disagree on the fit settings")
+    data = None
+    if (root / "input.bin").exists():
+        data = _load_binary(root / "input.bin")
+        if data.ids != ids:
+            raise ParseError(f"{root / 'input.bin'}: ids differ from partition_{ks[0]}.csv's")
+        for k in ks:
+            if models[k].means.shape[1] != data.d:
+                raise ParseError(f"{root / 'input.bin'}: d={data.d} where model_{k}.json "
+                                 f"has d={models[k].means.shape[1]}")
     return SweepResult(
         k_min=ks[0],
         k_max=ks[-1],
         partitions=partitions,
         models=models,
         base=bases.pop(),
+        data=data,
     )

@@ -2,10 +2,10 @@
 
 Three perturbations are supported: refitting on a random subset of embedding
 dimensions, refitting on a random subset of rows, and refitting with different
-seeds. Each refit uses the sweep's fit settings and is compared with the
-sweep's partition at the same K. Repetition r draws its randomness from a
-generator seeded by (0, r), so curves reproduce bit-exactly and repetitions
-are independent.
+seeds. Each refit perturbs the sweep's own input (an archive's input.bin),
+uses the sweep's fit settings and is compared with the sweep's partition at
+the same K. Repetition r draws its randomness from a generator seeded by
+(0, r), so curves reproduce bit-exactly and repetitions are independent.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, intersect_partitions
+from .errors import MissingArchive
 from .metrics import ami
 from .pipeline import SweepResult, _fit_each_k
 
@@ -65,29 +66,30 @@ class StabilityCurve:
 
 def _run(
     kind: str,
-    data: EmbeddingMatrix,
     sweep: SweepResult,
     spec: PerturbationSpec,
     jobs: int,
     reps: Iterable[int],
-    perturb: Callable[[int], tuple[EmbeddingMatrix, gmm.GmmConfig]],
+    perturb: Callable[[int, int], tuple[EmbeddingMatrix, gmm.GmmConfig]],
     compare: Callable[[Partition, Partition], float] = lambda part, ref: ami(part, ref).ami,
 ) -> StabilityCurve:
-    """The protocol of every kind: perturb, refit every K, score against the sweep.
+    """The protocol of every kind: perturb the sweep's input, refit every K, score.
 
-    ``perturb(r)`` gives the data and fit settings for each r in ``reps``,
-    drawn once per repetition. ``compare(partition, reference)`` scores a
-    refit against the sweep's partition at its K, by default by their AMI.
-    K=1 scores 1.0 by convention, unfitted; the other K go through ``_fit_each_k``.
+    ``perturb(r, size)`` gives the data and fit settings for each r in ``reps``,
+    drawn once per repetition; ``size`` is ``_draw_size``'s. ``compare(partition,
+    reference)`` scores a refit against the sweep's partition at its K, by
+    default by their AMI. K=1 scores 1.0 by convention, unfitted; the other K
+    go through ``_fit_each_k``.
     """
     if spec.kind != kind:
         raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
+    size = _draw_size(spec, sweep)
     ks = range(sweep.k_min, sweep.k_max + 1)
     fit_ks = [k for k in ks if k > 1]
     rep = "seed" if kind == "seed_variation" else "repetition"
     rows = []
     for r in reps:
-        sub, config = perturb(r)
+        sub, config = perturb(r, size)
         fitted = _fit_each_k(sub, config, fit_ks, jobs, f" in {kind} {rep} {r}",
                              lambda k, part: compare(part, sweep.partitions[k]))
         rows.append([fitted[k][1] if k in fitted else 1.0 for k in ks])
@@ -107,18 +109,24 @@ def _subsample(r: int, n: int, size: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _draw_size(spec: PerturbationSpec, data: EmbeddingMatrix, k_max: int) -> int:
-    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError."""
+def _draw_size(spec: PerturbationSpec, sweep: SweepResult) -> int:
+    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError.
+
+    A sweep without its input (an archive without input.bin) raises MissingArchive.
+    """
+    data = sweep.data
+    if data is None:
+        raise MissingArchive("the sweep archive has no input.bin to refit; run the sweep again")
     size = int(spec.fraction * (data.d if spec.kind == "dimension_subsample" else data.n))
     if spec.kind == "dimension_subsample" and size < 1:
         raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
-    if spec.kind == "row_subsample" and size < k_max:
-        raise ValueError(f"fraction {spec.fraction} keeps {size} rows < k_max={k_max}")
+    if spec.kind == "row_subsample" and size < sweep.k_max:
+        raise ValueError(f"fraction {spec.fraction} keeps {size} rows < k_max={sweep.k_max}")
     return size
 
 
 def dimension_stability(
-    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
+    sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
     """AMI of fits on random dimension subsets against the sweep's full-dimension fits.
 
@@ -126,49 +134,43 @@ def dimension_stability(
     original order), refits at every K of the sweep, and compares against the
     sweep's partition at the same K. K=1 is 1.0 by convention.
     """
-    n_cols = _draw_size(spec, data, sweep.k_max)
     return _run(
-        "dimension_subsample", data, sweep, spec, jobs, range(spec.repetitions),
-        lambda r: (data.subset_columns(_subsample(r, data.d, n_cols)), sweep.base),
+        "dimension_subsample", sweep, spec, jobs, range(spec.repetitions),
+        lambda r, n_cols: (sweep.data.subset_columns(_subsample(r, sweep.data.d, n_cols)),
+                           sweep.base),
     )
 
 
-def row_stability(
-    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
-) -> StabilityCurve:
+def row_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits on random row subsets against the sweep's full-data fits.
 
     The subsample partition is compared with the sweep's partition restricted
     to the sampled ids, so both sides cover the same items.
     """
-    n_rows = _draw_size(spec, data, sweep.k_max)
     return _run(
-        "row_subsample", data, sweep, spec, jobs, range(spec.repetitions),
-        lambda r: (data.subset_rows(_subsample(r, data.n, n_rows)), sweep.base),
+        "row_subsample", sweep, spec, jobs, range(spec.repetitions),
+        lambda r, n_rows: (sweep.data.subset_rows(_subsample(r, sweep.data.n, n_rows)),
+                           sweep.base),
         lambda part, ref: ami(*intersect_partitions(part, ref)).ami,
     )
 
 
-def seed_stability(
-    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
-) -> StabilityCurve:
+def seed_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits under alternative seeds against the sweep's base-seed fits."""
     return _run(
-        "seed_variation", data, sweep, spec, jobs, spec.seeds(),
-        lambda seed: (data, sweep.base.with_seed(seed)),
+        "seed_variation", sweep, spec, jobs, spec.seeds(),
+        lambda seed, _: (sweep.data, sweep.base.with_seed(seed)),
     )
 
 
-def run_protocol(
-    data: EmbeddingMatrix, sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
-) -> StabilityCurve:
+def run_protocol(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """Dispatch to the protocol named by ``spec.kind``."""
     fn = {
         "dimension_subsample": dimension_stability,
         "row_subsample": row_stability,
         "seed_variation": seed_stability,
     }[spec.kind]
-    return fn(data, sweep, spec, jobs)
+    return fn(sweep, spec, jobs)
 
 
 def write_curve_csv(curve: StabilityCurve, path: str | Path) -> None:

@@ -191,15 +191,15 @@ def test_criterion_04_single_level_stability_protocols(four_blobs):
         k4 = 4 - sweep.k_min  # index of K=4 in k_values
 
         dim = dimension_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=25),
         )
         rows = row_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=25),
         )
         seeds = seed_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="seed_variation", seed_range=(1, 25)),
         )
         assert dim.k_values[k4] == 4
@@ -208,15 +208,15 @@ def test_criterion_04_single_level_stability_protocols(four_blobs):
         assert seeds.mean_ami[k4] >= 0.95, f"seed protocol: {seeds.mean_ami[k4]}"
 
         dim_control = dimension_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3),
         )
         row_control = row_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3),
         )
         seed_control = seed_stability(
-            data, sweep,
+            sweep,
             PerturbationSpec(kind="seed_variation", seed_range=(0, 0)),
         )
         for control in (dim_control, row_control, seed_control):

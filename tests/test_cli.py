@@ -18,6 +18,7 @@ from clustersweep.cli import (
     RunConfig, _load_texts, build_parser, main, parse_threshold, resolve_config,
 )
 from clustersweep.data import load_embeddings, load_partition, save_embeddings
+from clustersweep.errors import ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
@@ -144,11 +145,10 @@ class TestConfigResolution:
 # Each subcommand's flags: only those it reads; --help is argparse's own.
 ARCHIVE_FLAGS = {"--help", "--config", "--out", "--k-min", "--k-max"}
 FIT_FLAGS = {"--seed", "--max-iter", "--tol", "--reg-covar"}
-INPUT_FLAGS = {"--input", "--format", "--jobs"}
 FLAGS = {
-    "sweep": ARCHIVE_FLAGS | FIT_FLAGS | INPUT_FLAGS,
-    "stability": ARCHIVE_FLAGS | INPUT_FLAGS | {
-        "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi",
+    "sweep": ARCHIVE_FLAGS | FIT_FLAGS | {"--input", "--format", "--jobs"},
+    "stability": ARCHIVE_FLAGS | {
+        "--jobs", "--kinds", "--fraction", "--reps", "--seed-lo", "--seed-hi",
     },
     "sankey": ARCHIVE_FLAGS | {"--threshold", "--names"},
     "name": ARCHIVE_FLAGS | {
@@ -202,9 +202,14 @@ class TestParser:
         ["stability", "--seed", "3"],
         ["name", "--tol", "0.001"],
         ["stability", "--master-seed", "0"],
+        ["stability", "--input", "emb.csv"],
+        ["stability", "--format", "bin"],
+        ["sankey", "--thr", "5"],
+        ["stability", "--kind", "seeds"],
     ], ids=["bad-int", "unknown-kind", "removed-flag", "sankey-jobs", "name-input",
             "removed-fit-reference", "stability-fit-flag", "name-fit-flag",
-            "removed-master-seed"])
+            "removed-master-seed", "stability-input", "stability-format",
+            "abbreviated-threshold", "abbreviated-kinds"])
     def test_usage_error_exits_1(self, capsys, argv):
         assert main(argv) == 1
         assert "usage:" in capsys.readouterr().err
@@ -276,10 +281,7 @@ class TestSweepCommand:
 
 class TestStabilityCommand:
     def test_requires_archive_or_flag(self, fixture_dir, tmp_path, capsys):
-        code = main([
-            "stability", "--input", str(fixture_dir / "emb.csv"),
-            "--out", str(tmp_path / "missing"), "--kinds", "seeds",
-        ])
+        code = main(["stability", "--out", str(tmp_path / "missing"), "--kinds", "seeds"])
         assert code == 2
         assert "run the sweep first" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
@@ -288,7 +290,7 @@ class TestStabilityCommand:
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
         code = main([
-            "stability", "--input", str(fixture_dir / "emb.csv"), "--out", str(out),
+            "stability", "--out", str(out),
             "--k-max", "5", "--kinds", "seeds", "--seed-lo", "0", "--seed-hi", "0",
         ])
         assert code == 0
@@ -396,50 +398,9 @@ class TestStabilityCommand:
         data = load_embeddings(fixture_dir / "emb.csv")
         base = GmmConfig(k=1, seed=7, tol=1e-9, max_iter=3)
         write_archive(run_sweep(data, base, 1, 8), tmp_path / "lib")
-        code = main([
-            "stability", "--input", str(fixture_dir / "emb.csv"),
-            "--out", str(tmp_path / "lib"), *SELF_SEED,
-        ])
+        code = main(["stability", "--out", str(tmp_path / "lib"), *SELF_SEED])
         assert code == 0
         assert curve_means(tmp_path / "lib" / "stability_seeds.csv") == [1.0] * 8
-
-    @pytest.mark.parametrize("text", ["[1]", "{not json", '{"input": 3}'],
-                             ids=["not-an-object", "malformed", "ill-typed-input"])
-    def test_bad_archived_config_exits_2_naming_it(self, fixture_dir, tmp_path, capsys, text):
-        out = tmp_path / "run"
-        run_sweep_once(fixture_dir, out)
-        (out / "config.json").write_text(text)
-        code = main([
-            "stability", "--out", str(out), "--k-max", "5",
-            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
-        ])
-        assert code == 2
-        assert f"{out / 'config.json'}:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("rows, columns, message", [
-        (range(120), range(12), "row 120 has id None where {partition} has '120'"),
-        ([7 if r == 3 else 3 if r == 7 else r for r in range(200)], range(12),
-         "row 3 has id '7' where {partition} has '3'"),
-        (range(200), range(11), "d=11 where {model} has d=12"),
-    ], ids=["120-row-prefix", "two-rows-swapped", "other-d"])
-    def test_input_other_than_the_sweeps_exits_2_naming_it(
-        self, fixture_dir, tmp_path, capsys, rows, columns, message
-    ):
-        out = tmp_path / "run"
-        run_sweep_once(fixture_dir, out)
-        data = load_embeddings(fixture_dir / "emb.csv")
-        other = tmp_path / "other.csv"
-        values = data.values[np.ix_(list(rows), list(columns))]
-        save_embeddings(make_matrix(values, [data.ids[r] for r in rows]), other, "csv")
-        capsys.readouterr()
-        code = main([
-            "stability", "--input", str(other), "--out", str(out), "--k-max", "5",
-            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
-        ])
-        assert code == 2
-        message = message.format(partition=out / "partition_1.csv", model=out / "model_1.json")
-        assert f"{other}: {message}" in capsys.readouterr().err
-        assert not (out / "stability_seeds.csv").exists()
 
     @pytest.mark.parametrize("failure, code, message", [
         ("nan", 3, "non-finite log-likelihood at K=3 in seed_variation seed 1: nan"),
@@ -460,13 +421,69 @@ class TestStabilityCommand:
         assert not list(out.glob("stability_*"))
 
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
+        # The refits use input.bin, whatever the sweep's input file holds later.
+        emb = tmp_path / "emb.csv"
+        emb.write_bytes((fixture_dir / "emb.csv").read_bytes())
+        out = tmp_path / "run"
+        assert main(["sweep", "--input", str(emb), "--k-max", "5", "--out", str(out)]) == 0
+        # Other values under the same ids and d.
+        data = load_embeddings(emb)
+        other = np.random.default_rng(0).normal(size=data.values.shape)
+        save_embeddings(make_matrix(other, data.ids), emb, "csv")
+        argv = ["stability", "--out", str(out), "--k-max", "5",
+                "--kinds", "seeds", "--seed-lo", "0", "--seed-hi", "0"]
+        assert main(argv) == 0
+        assert curve_means(out / "stability_seeds.csv") == [1.0] * 5
+        emb.unlink()
+        assert main(argv) == 0
+        assert curve_means(out / "stability_seeds.csv") == [1.0] * 5
+
+    def test_archive_without_input_bin_exits_2_before_any_refit(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
-        code = main([
-            "stability", "--out", str(out), "--k-max", "5",
-            "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1",
-        ])
-        assert code == 0
+        argv = ["stability", "--out", str(out), "--k-max", "5", "--kinds", "rows", "seeds",
+                "--reps", "1", "--seed-lo", "1", "--seed-hi", "1"]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.glob("stability_*")}
+        (out / "input.bin").unlink()  # as written before archives kept it
+        fits = []
+        monkeypatch.setattr("clustersweep.gmm.fit", lambda *args: fits.append(args))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "no input.bin to refit; run the sweep again" in capsys.readouterr().err
+        assert fits == []
+        assert {p.name: p.read_bytes() for p in out.glob("stability_*")} == before
+        monkeypatch.undo()
+        assert main(["sankey", "--out", str(out)]) == 0
+        assert main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                     "--fallback"]) == 0
+
+    @pytest.mark.parametrize("rows, columns, message", [
+        (range(120), range(12), "ids differ from partition_1.csv's"),
+        ([1, 0, *range(2, 200)], range(12), "ids differ from partition_1.csv's"),
+        (range(200), range(11), "d=11 where model_1.json has d=12"),
+    ], ids=["other-ids", "two-rows-swapped", "other-d"])
+    def test_input_bin_of_another_sweep_exits_2_naming_it(
+        self, fixture_dir, tmp_path, capsys, rows, columns, message
+    ):
+        out, other = tmp_path / "run", tmp_path / "other"
+        run_sweep_once(fixture_dir, out)
+        data = load_embeddings(fixture_dir / "emb.csv")
+        values = data.values[np.ix_(list(rows), list(columns))]
+        save_embeddings(make_matrix(values, [data.ids[r] for r in rows]), tmp_path / "other.csv",
+                        "csv")
+        assert main(["sweep", "--input", str(tmp_path / "other.csv"), "--k-max", "5",
+                     "--out", str(other)]) == 0
+        (out / "input.bin").write_bytes((other / "input.bin").read_bytes())
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_archive(out)
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out), "--k-max", "5", "--kinds", "seeds",
+                     "--seed-lo", "1", "--seed-hi", "1"]) == 2
+        assert f"{out / 'input.bin'}: {message}" in capsys.readouterr().err
+        assert not (out / "stability_seeds.csv").exists()
 
 
 class TestArchiveRange:
@@ -495,7 +512,7 @@ class TestArchiveRange:
     def test_stability_needs_the_archive_to_cover_the_range(self, fixture_dir, archive, capsys):
         # --k-min defaults to 1, below the archive's K=2.
         code = main([
-            "stability", "--out", str(archive), "--input", str(fixture_dir / "emb.csv"),
+            "stability", "--out", str(archive),
             "--k-max", "5", "--kinds", "seeds", "--seed-lo", "7", "--seed-hi", "7",
         ])
         assert code == 1
@@ -951,7 +968,7 @@ class TestByteDeterminism:
                     assert proc.returncode == 0, proc.stderr
                 archives[f"--jobs {jobs}, OPENBLAS_NUM_THREADS={threads}"] = _archive_digests(out)
         (first_run, first), *rest = archives.items()
-        assert len(first) == 32  # config, 10 partitions, 10 models, metrics, 10 stability
+        assert len(first) == 33  # config, input, 10 partitions, 10 models, metrics, 10 stability
         for run, digests in rest:
             differing = sorted(name for name in first if digests.get(name) != first[name])
             assert not differing and digests.keys() == first.keys(), (first_run, run, differing)

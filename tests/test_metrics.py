@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestAmi:
 
     def test_json_field_names(self):
         report = ami(make_partition([0, 1, 0]), make_partition([0, 0, 1]))
-        assert set(report.to_json_dict()) == {"mi", "emi", "entropy_u", "entropy_v", "ami"}
+        assert set(asdict(report)) == {"mi", "emi", "entropy_u", "entropy_v", "ami"}
 
 
 class TestProportionalStability:
@@ -333,4 +334,4 @@ class TestProportionalStability:
 
     def test_json_field_names(self):
         sb = proportional_stability(make_partition([0, 1]), make_partition([0, 0], k=1))
-        assert set(sb.to_json_dict()) == {"per_cluster", "average"}
+        assert set(asdict(sb)) == {"per_cluster", "average"}

@@ -133,12 +133,14 @@ class TestArchive:
             assert np.array_equal(back.models[k].means, result.models[k].means)
         assert back.consecutive == result.consecutive
         assert back.base == result.base == GmmConfig(k=1)
+        assert back.data.ids == data.ids
+        assert back.data.values.tobytes() == data.values.tobytes()
 
     def test_expected_files(self, three_blob_sweep, tmp_path):
         _, _, result = three_blob_sweep
         write_archive(result, tmp_path / "arch")
         names = {p.name for p in (tmp_path / "arch").iterdir()}
-        expected = {"config.json", "consecutive_metrics.json"}
+        expected = {"config.json", "input.bin", "consecutive_metrics.json"}
         expected |= {f"partition_{k}.csv" for k in range(1, 5)}
         expected |= {f"model_{k}.json" for k in range(1, 5)}
         assert names == expected

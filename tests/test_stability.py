@@ -1,12 +1,13 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import clustersweep.gmm
 from clustersweep import stability
-from clustersweep.errors import ClusterSweepError, NumericFailure
+from clustersweep.errors import ClusterSweepError, MissingArchive, NumericFailure
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import run_sweep
 from clustersweep.stability import (
@@ -66,22 +67,22 @@ class TestPerturbationSpec:
         with pytest.raises(ValueError):
             PerturbationSpec(kind="seed_variation", seed_range=(5, 2))
 
-    def test_kind_checked_by_protocol(self, small_blobs, sweep):
+    def test_kind_checked_by_protocol(self, sweep):
         spec = PerturbationSpec(kind="row_subsample")
         with pytest.raises(ValueError):
-            dimension_stability(small_blobs, sweep(1, 2), spec)
+            dimension_stability(sweep(1, 2), spec)
 
 
 class TestAllKinds:
     @pytest.mark.parametrize("spec", CONTROLS, ids=lambda spec: spec.kind)
-    def test_control_is_exactly_one(self, small_blobs, sweep, spec):
-        curve = run_protocol(small_blobs, sweep(1, 5), spec)
+    def test_control_is_exactly_one(self, sweep, spec):
+        curve = run_protocol(sweep(1, 5), spec)
         assert curve.mean_ami == (1.0,) * 5
         assert curve.std_ami == (0.0,) * 5
         assert curve.per_rep.shape == (1 if spec.kind == "seed_variation" else 3, 5)
 
     @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
-    def test_jobs_do_not_change_results(self, small_blobs, sweep, spec, monkeypatch):
+    def test_jobs_do_not_change_results(self, sweep, spec, monkeypatch):
         # Above K=3 the three blobs split differently per repetition, so
         # repetitions or Ks joined out of order would show.
         draws = []
@@ -96,8 +97,8 @@ class TestAllKinds:
             monkeypatch.setattr(stability, "_subsample",
                                 lambda r, *a: draws.append(r) or subsample(r, *a))
         for k_range in ((1, 5), (3, 5)):
-            serial = run_protocol(small_blobs, sweep(*k_range), spec)
-            threaded = run_protocol(small_blobs, sweep(*k_range), spec, jobs=3)
+            serial = run_protocol(sweep(*k_range), spec)
+            threaded = run_protocol(sweep(*k_range), spec, jobs=3)
             assert np.array_equal(serial.per_rep, threaded.per_rep)
             assert serial.per_rep.shape == (len(reps), k_range[1] - k_range[0] + 1)
         # Each repetition is drawn once, not once per K.
@@ -109,64 +110,74 @@ class TestAllKinds:
     ], ids=["nan", "raise"])
     @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
     def test_failed_refit_names_kind_repetition_and_k(
-        self, small_blobs, sweep, spec, failure, error, message, monkeypatch
+        self, sweep, spec, failure, error, message, monkeypatch
     ):
         reference = sweep(1, 5)
         monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit(failure, k=3))
         rep = "seed 1" if spec.kind == "seed_variation" else "repetition 0"
         with pytest.raises(error, match=re.escape(message.format(where=f"{spec.kind} {rep}"))):
-            run_protocol(small_blobs, reference, spec, jobs=2)
+            run_protocol(reference, spec, jobs=2)
+
+    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
+    def test_sweep_without_its_input_raises_before_any_refit(self, sweep, spec, monkeypatch):
+        # As read from an archive written before archives kept input.bin.
+        old = replace(sweep(1, 3), data=None)
+        fits = []
+        monkeypatch.setattr("clustersweep.stability.gmm.fit", lambda *args: fits.append(args))
+        with pytest.raises(MissingArchive, match="no input.bin to refit; run the sweep again"):
+            run_protocol(old, spec)
+        assert fits == []
 
 
 class TestDimensionStability:
-    def test_k1_is_one_for_every_repetition(self, small_blobs, sweep):
+    def test_k1_is_one_for_every_repetition(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.5, repetitions=4)
-        curve = dimension_stability(small_blobs, sweep(1, 2), spec)
+        curve = dimension_stability(sweep(1, 2), spec)
         assert (curve.per_rep[:, 0] == 1.0).all()
 
-    def test_separated_blobs_stay_recoverable(self, small_blobs, sweep):
+    def test_separated_blobs_stay_recoverable(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=6)
-        curve = dimension_stability(small_blobs, sweep(3, 3), spec)
+        curve = dimension_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.95
 
-    def test_deterministic_per_rep(self, small_blobs, sweep):
+    def test_deterministic_per_rep(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.6, repetitions=3)
-        c1 = dimension_stability(small_blobs, sweep(1, 3), spec)
-        c2 = dimension_stability(small_blobs, sweep(1, 3), spec)
+        c1 = dimension_stability(sweep(1, 3), spec)
+        c2 = dimension_stability(sweep(1, 3), spec)
         assert np.array_equal(c1.per_rep, c2.per_rep)
 
-    def test_fraction_too_small(self, small_blobs, sweep):
+    def test_fraction_too_small(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.01, repetitions=1)
         with pytest.raises(ValueError):
-            dimension_stability(small_blobs, sweep(1, 2), spec)
+            dimension_stability(sweep(1, 2), spec)
 
 
 class TestRowStability:
-    def test_separated_blobs(self, small_blobs, sweep):
+    def test_separated_blobs(self, sweep):
         spec = PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=6)
-        curve = row_stability(small_blobs, sweep(3, 3), spec)
+        curve = row_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.95
 
-    def test_fraction_below_k(self, small_blobs, sweep):
+    def test_fraction_below_k(self, sweep):
         spec = PerturbationSpec(kind="row_subsample", fraction=0.02, repetitions=1)
         with pytest.raises(ValueError):
-            row_stability(small_blobs, sweep(1, 5), spec)
+            row_stability(sweep(1, 5), spec)
 
 
 class TestSeedStability:
-    def test_k1_always_one(self, small_blobs, sweep):
+    def test_k1_always_one(self, sweep):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 5))
-        curve = seed_stability(small_blobs, sweep(1, 1), spec)
+        curve = seed_stability(sweep(1, 1), spec)
         assert (curve.per_rep == 1.0).all()
 
-    def test_separated_blobs_seed_insensitive(self, small_blobs, sweep):
+    def test_separated_blobs_seed_insensitive(self, sweep):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 10))
-        curve = seed_stability(small_blobs, sweep(3, 3), spec)
+        curve = seed_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.99
 
-    def test_repetition_count_follows_seed_range(self, small_blobs, sweep):
+    def test_repetition_count_follows_seed_range(self, sweep):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 7))
-        curve = seed_stability(small_blobs, sweep(2, 3), spec)
+        curve = seed_stability(sweep(2, 3), spec)
         assert curve.per_rep.shape == (7, 2)
 
 
@@ -182,34 +193,34 @@ class TestReferencesAndAggregation:
 
         monkeypatch.setattr("clustersweep.stability.gmm.fit", counting_fit)
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=2)
-        dimension_stability(small_blobs, result, spec)
+        dimension_stability(result, spec)
         # The sweep holds the references: only the refits run, 2 reps x K=2,3.
         assert sorted(calls) == [2, 2, 3, 3]
 
-    def test_population_std(self, small_blobs, sweep):
+    def test_population_std(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.5, repetitions=1)
-        curve = dimension_stability(small_blobs, sweep(1, 3), spec)
+        curve = dimension_stability(sweep(1, 3), spec)
         assert curve.std_ami == (0.0, 0.0, 0.0)
 
-    def test_ami_values_in_bounds(self, small_blobs, sweep):
+    def test_ami_values_in_bounds(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.3, repetitions=5)
-        curve = dimension_stability(small_blobs, sweep(1, 4), spec)
+        curve = dimension_stability(sweep(1, 4), spec)
         assert (curve.per_rep >= -1.0).all() and (curve.per_rep <= 1.0 + 1e-9).all()
         assert all(0.0 <= m <= 1.0 + 1e-9 for m in curve.mean_ami)
 
-    def test_run_protocol_dispatch(self, small_blobs, sweep):
+    def test_run_protocol_dispatch(self, sweep):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
-        curve = run_protocol(small_blobs, sweep(1, 2), spec)
+        curve = run_protocol(sweep(1, 2), spec)
         assert curve.kind == "seed_variation"
 
 
 class TestCurveExport:
-    def _curve(self, small_blobs, sweep):
+    def _curve(self, sweep):
         spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 3))
-        return seed_stability(small_blobs, sweep(1, 3), spec)
+        return seed_stability(sweep(1, 3), spec)
 
-    def test_csv(self, small_blobs, sweep, tmp_path):
-        curve = self._curve(small_blobs, sweep)
+    def test_csv(self, sweep, tmp_path):
+        curve = self._curve(sweep)
         write_curve_csv(curve, tmp_path / "c.csv")
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines[0] == "k,mean_ami,std_ami"
@@ -217,15 +228,15 @@ class TestCurveExport:
         k, mean, std = lines[1].split(",")
         assert int(k) == 1 and float(mean) == 1.0 and float(std) == 0.0
 
-    def test_reps_csv(self, small_blobs, sweep, tmp_path):
-        curve = self._curve(small_blobs, sweep)
+    def test_reps_csv(self, sweep, tmp_path):
+        curve = self._curve(sweep)
         write_curve_reps_csv(curve, tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "rep,k1,k2,k3"
         assert len(lines) == 4
 
-    def test_json_mirror(self, small_blobs, sweep, tmp_path):
-        curve = self._curve(small_blobs, sweep)
+    def test_json_mirror(self, sweep, tmp_path):
+        curve = self._curve(sweep)
         write_curve_json(curve, tmp_path / "c.json")
         doc = json.loads((tmp_path / "c.json").read_text())
         assert doc["kind"] == "seed_variation"
@@ -233,12 +244,12 @@ class TestCurveExport:
         assert doc["mean_ami"] == list(curve.mean_ami)
         assert len(doc["per_rep"]) == 3
 
-    def test_combined_csv(self, small_blobs, sweep, tmp_path):
+    def test_combined_csv(self, sweep, tmp_path):
         spec_d = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=2)
         spec_s = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
         curves = [
-            dimension_stability(small_blobs, sweep(1, 2), spec_d),
-            seed_stability(small_blobs, sweep(1, 2), spec_s),
+            dimension_stability(sweep(1, 2), spec_d),
+            seed_stability(sweep(1, 2), spec_s),
         ]
         write_combined_csv(curves, tmp_path / "combined.csv")
         lines = (tmp_path / "combined.csv").read_text().splitlines()
