@@ -77,10 +77,10 @@ class RunConfig:
     out: str = _setting("clustersweep-run", "run archive directory")
     k_min: int = _setting(1, "lowest cluster count")
     k_max: int = _setting(20, "highest cluster count")
-    seed: int = _setting(0, "base RNG seed for fits", "sweep")
-    max_iter: int = _setting(2000, "EM iteration cap", "sweep")
-    tol: float = _setting(1e-3, "EM convergence threshold", "sweep")
-    reg_covar: float = _setting(1e-6, "variance floor", "sweep")
+    seed: int = _setting(GmmConfig.seed, "base RNG seed for fits", "sweep")
+    max_iter: int = _setting(GmmConfig.max_iter, "EM iteration cap", "sweep")
+    tol: float = _setting(GmmConfig.tol, "EM convergence threshold", "sweep")
+    reg_covar: float = _setting(GmmConfig.reg_covar, "variance floor", "sweep")
     jobs: int = _setting(1, "worker threads for independent fits", "sweep", "stability")
     fraction: float = _setting(0.8, "subsample fraction", "stability")
     repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
@@ -207,7 +207,9 @@ def cmd_sweep(config: RunConfig) -> int:
         raise FileNotFoundError(f"input file not found: {config.input}")
     data = load_embeddings(config.input, config.format)
     result = pipeline.run_sweep(data, config.base, config.k_min, config.k_max, jobs=config.jobs)
-    pipeline.write_archive(result, config.out, run_config=asdict(config))
+    pipeline.write_archive(result, config.out)
+    Path(config.out, "config.json").write_text(json.dumps(asdict(config), indent=2) + "\n",
+                                               encoding="utf-8", newline="\n")
 
     print(f"{'K':>3} {'occupied':>8} {'iters':>6} {'conv':>5} "
           f"{'log_likelihood':>16} {'ami_prev':>9} {'stab_prev':>9}")

@@ -309,11 +309,10 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     seen = {}
     for r in range(n):
         _check_id(ids[r], r, path, seen)
-        row = values[r]
-        if not np.isfinite(row).all():
-            c = int(np.flatnonzero(~np.isfinite(row))[0])
-            raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
-    return EmbeddingMatrix(ids=tuple(ids), values=values.copy())
+    if not np.isfinite(values).all():
+        r, c = map(int, np.argwhere(~np.isfinite(values))[0])
+        raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
+    return EmbeddingMatrix(ids=tuple(ids), values=values)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "csv") -> None:
@@ -365,15 +364,22 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
         line = line.strip()
         if not line or (line_no == 0 and line.lower() == "id,label"):
             continue
-        parts = line.rsplit(",", 1)
-        if len(parts) != 2:
+        # rpartition, not rsplit: no list per row, which pays for the checks below.
+        row_id, comma, label_text = line.rpartition(",")
+        if not comma:
             raise ParseError(f"{path}: malformed partition row: {line!r}")
         try:
-            label = int(parts[1])
+            label = int(label_text)
         except ValueError:
             raise ParseError(f"{path}: bad label in row: {line!r}")
-        ids.append(parts[0])
+        if not 0 <= label < k_declared:
+            raise ParseError(f"{path}: row {len(ids)}: label {label} is not in [0, {k_declared})")
+        ids.append(row_id)
         labels.append(label)
     if not ids:
         raise ParseError(f"{path}: empty partition file")
+    if len(set(ids)) != len(ids):  # per row, _check_id would cost more than the read
+        seen = {}
+        for r, row_id in enumerate(ids):
+            _check_id(row_id, r, path, seen)
     return Partition(len(ids), k_declared, np.asarray(labels), tuple(ids))

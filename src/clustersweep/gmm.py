@@ -62,24 +62,17 @@ class GmmConfig:
             raise ValueError("k must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # Written so that NaN fails too.
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if not 0 < self.reg_covar < math.inf:
             raise ValueError(f"reg_covar must be finite and > 0, got {self.reg_covar!r}")
 
-    def with_k(self, k: int) -> "GmmConfig":
-        return GmmConfig(**{**asdict(self), "k": k})
-
-    def with_seed(self, seed: int) -> "GmmConfig":
-        return GmmConfig(**{**asdict(self), "seed": seed})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "GmmConfig":
-        """Inverse of :meth:`to_dict` that checks each field's JSON type.
+        """Inverse of ``dataclasses.asdict`` that checks each field's JSON type.
 
         Accepts the entries of retired fields that older files carry, at the
         one value this version fits with. Raises TypeError on a missing,
@@ -466,7 +459,7 @@ def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None
     def matrix(a: np.ndarray) -> str:
         return "[" + ", ".join(map(_json_row, a)) + "]"
 
-    settings = ", ".join(f'"{name}": {_json_number(v)}' for name, v in config.to_dict().items())
+    settings = ", ".join(f'"{name}": {_json_number(v)}' for name, v in asdict(config).items())
     Path(path).write_text(
         f'{{"k": {model.k}, "weights": {_json_row(model.weights)}, '
         f'"means": {matrix(model.means)}, "variances": {matrix(model.variances)}, '

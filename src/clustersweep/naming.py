@@ -260,27 +260,18 @@ def name_clusters(
         try:
             raw = sanitize_name(backend.generate(profile, prompt))
         except MalformedResponse as exc:
-            logger.warning(
-                "K=%d cluster %d: malformed backend response (%s); using fallback",
-                profile.k, profile.cluster, exc,
-            )
-            return fallback_name(profile), "fallback"
+            reason = f"malformed backend response ({exc})"
         except BackendUnavailable:
             if not fallback_on_error:
                 unavailable.set()
                 raise
-            logger.warning(
-                "K=%d cluster %d: backend unavailable; using fallback",
-                profile.k, profile.cluster,
-            )
-            return fallback_name(profile), "fallback"
-        if not raw or len(raw) > MAX_NAME_LENGTH:
-            logger.warning(
-                "K=%d cluster %d: unusable backend name (%d chars); using fallback",
-                profile.k, profile.cluster, len(raw),
-            )
-            return fallback_name(profile), "fallback"
-        return raw, backend.kind
+            reason = "backend unavailable"
+        else:
+            if raw and len(raw) <= MAX_NAME_LENGTH:
+                return raw, backend.kind
+            reason = f"unusable backend name ({len(raw)} chars)"
+        logger.warning("K=%d cluster %d: %s; using fallback", profile.k, profile.cluster, reason)
+        return fallback_name(profile), "fallback"
 
     if getattr(backend, "kind", None) == "external" and len(profiles) > 1:
         with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:

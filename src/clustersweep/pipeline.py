@@ -1,9 +1,9 @@
 """K-sweep driver: fit every resolution, compare consecutive ones, archive runs.
 
 Each K is fitted independently with the same seed and config; no information
-flows between resolutions. A run archive is a directory holding config.json,
-input.bin (the sweep's input, in the binary embedding format), partition_K.csv
-and model_K.json per resolution, and consecutive_metrics.json.
+flows between resolutions. A run archive is a directory holding input.bin
+(the sweep's input, in the binary embedding format), partition_K.csv and
+model_K.json per resolution, and consecutive_metrics.json.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
@@ -96,7 +96,7 @@ def run_sweep(
         k_max=k_max,
         partitions={k: fitted[k][1] for k in ks},
         models={k: fitted[k][0] for k in ks},
-        base=base.with_k(k_min),
+        base=replace(base, k=k_min),
         data=data,
     )
 
@@ -112,7 +112,7 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
     """
     def fit_one(k: int) -> tuple[MixtureModel, Partition | float]:
         try:
-            model, part = gmm.fit(data, config.with_k(k))
+            model, part = gmm.fit(data, replace(config, k=k))
         except ClusterSweepError as exc:
             exc.args = (f"while fitting K={k}{where}: {exc}",)
             raise
@@ -132,27 +132,15 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
     return fitted
 
 
-def write_archive(
-    result: SweepResult,
-    out_dir: str | Path,
-    run_config: dict | None = None,
-) -> None:
+def write_archive(result: SweepResult, out_dir: str | Path) -> None:
     """Write a sweep archive; reruns with equal inputs produce identical bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config_doc = run_config if run_config is not None else {
-        "k_min": result.k_min,
-        "k_max": result.k_max,
-        "gmm": result.base.to_dict(),
-    }
-    with open(out / "config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_doc, fh, indent=2)
-        fh.write("\n")
     if result.data is not None:
         save_embeddings(result.data, out / "input.bin", "bin")
     for k in range(result.k_min, result.k_max + 1):
         save_partition(result.partitions[k], out / f"partition_{k}.csv")
-        gmm.save_model(result.models[k], result.base.with_k(k), out / f"model_{k}.json")
+        gmm.save_model(result.models[k], replace(result.base, k=k), out / f"model_{k}.json")
     with open(out / "consecutive_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump([asdict(c) for c in result.consecutive], fh, indent=2)
         fh.write("\n")
@@ -184,7 +172,7 @@ def read_archive(path: str | Path) -> SweepResult:
     models, bases = {}, set()
     for k in ks:
         models[k], config = gmm.load_model(root / f"model_{k}.json")
-        bases.add(config.with_k(ks[0]))
+        bases.add(replace(config, k=ks[0]))
     if len(bases) > 1:
         raise ParseError(f"{root}: model files disagree on the fit settings")
     data = None

@@ -11,7 +11,7 @@ the same K. Repetition r draws its randomness from a generator seeded by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -42,6 +42,8 @@ class PerturbationSpec:
             raise ValueError("fraction must lie in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed_range[0] < 0:
+            raise ValueError(f"seeds must be >= 0, got seed_range {self.seed_range}")
         if self.seed_range[1] < self.seed_range[0]:
             raise ValueError("empty seed_range")
 
@@ -159,7 +161,7 @@ def seed_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) ->
     """AMI of fits under alternative seeds against the sweep's base-seed fits."""
     return _run(
         "seed_variation", sweep, spec, jobs, spec.seeds(),
-        lambda seed, _: (sweep.data, sweep.base.with_seed(seed)),
+        lambda seed, _: (sweep.data, replace(sweep.base, seed=seed)),
     )
 
 

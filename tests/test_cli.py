@@ -234,6 +234,16 @@ class TestSweepCommand:
         ])
         assert code == 1  # config error beats the missing file
 
+    def test_negative_seed_exits_1_naming_it_before_any_fit(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        fits = []
+        monkeypatch.setattr("clustersweep.gmm.fit", lambda *a, **kw: fits.append(a[1].k))
+        assert run_sweep_once(fixture_dir, tmp_path / "run", ["--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "run").exists()
+
     def test_archive_contents(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         assert run_sweep_once(fixture_dir, out) == 0
@@ -280,6 +290,22 @@ class TestSweepCommand:
 
 
 class TestStabilityCommand:
+    def test_negative_seed_exits_1_naming_it_before_any_refit(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out, ["--k-max", "4"]) == 0
+        fits = []
+        monkeypatch.setattr("clustersweep.gmm.fit", lambda *a, **kw: fits.append(a[1].k))
+        capsys.readouterr()
+        assert main([
+            "stability", "--out", str(out), "--k-max", "4", "--kinds", "dimensions", "seeds",
+            "--reps", "2", "--seed-lo", "-1", "--seed-hi", "0",
+        ]) == 1
+        assert "seeds must be >= 0, got seed_range (-1, 0)" in capsys.readouterr().err
+        assert fits == []
+        assert not list(out.glob("stability_*"))
+
     def test_requires_archive_or_flag(self, fixture_dir, tmp_path, capsys):
         code = main(["stability", "--out", str(tmp_path / "missing"), "--kinds", "seeds"])
         assert code == 2
@@ -585,6 +611,25 @@ class TestSankeyCommand:
         path.write_bytes(path.read_bytes().replace(b"\n0,", b"\n\xff0,", 1))
         assert main(["sankey", "--out", str(out)]) == 2
         assert "partition_2.csv: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("{id},9", "partition_3.csv: row 0: label 9 is not in [0, 3)"),
+        ("{id},-1", "partition_3.csv: row 0: label -1 is not in [0, 3)"),
+        ("{line}\n{line}", "partition_3.csv: id '{id}' repeats in rows 0 and 1"),
+    ], ids=["label-above-k", "negative-label", "repeated-row"])
+    def test_partition_breaking_the_archive_rules_exits_2_naming_it(
+        self, fixture_dir, tmp_path, capsys, row, message
+    ):
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        path = out / "partition_3.csv"
+        header, line, *rest = path.read_text().splitlines()
+        first_row = {"id": line.split(",")[0], "line": line}
+        path.write_text("\n".join([header, row.format(**first_row), *rest]) + "\n")
+        capsys.readouterr()
+        for command in ("sankey", "stability"):
+            assert main([command, "--out", str(out)]) == 2
+            assert message.format(**first_row) in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, message", [
         (b"x,0,5,foo,fallback", "names.csv: row 1: k and cluster must be integers"),

@@ -177,6 +177,19 @@ class TestEmbeddingIO:
             load_embeddings(p, "csv")
         assert exc.value.row == 1 and exc.value.col == 0
 
+    def test_binary_reports_the_first_non_finite_value_and_its_location(self, tmp_path):
+        p = tmp_path / "e.bin"
+        write_binary_unchecked(p, [[1.0, 2.0], [np.nan, 4.0], [np.inf, 5.0]], ["r0", "r1", "r2"])
+        with pytest.raises(NonFiniteValue, match=re.escape(f"{p}: non-finite value at row 1, "
+                                                           "column 0")) as exc:
+            load_embeddings(p, "bin")
+        assert exc.value.row == 1 and exc.value.col == 0
+
+    def test_binary_reports_a_bad_id_before_a_non_finite_value(self, tmp_path):
+        write_binary_unchecked(tmp_path / "e.bin", [[np.inf], [1.0], [2.0]], ["a", "b", "a"])
+        with pytest.raises(ParseError, match="id 'a' repeats in rows 0 and 2"):
+            load_embeddings(tmp_path / "e.bin", "bin")
+
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1.0,2.0,3.0,4.0\n1.0,2.0,3.0,4.0,5.0\n")
@@ -274,13 +287,17 @@ class TestIdRule:
         with pytest.raises(ParseError, match=re.escape(f"row 1: id {row_id!r}")):
             load_embeddings(tmp_path / "e.csv", "csv")
 
-    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin", "partition"])
     def test_repeated_id_names_the_file_the_id_and_both_rows(self, tmp_path, fmt):
         (tmp_path / "e.csv").write_text("id,e0\nx,1.0\ny,2.0\nx,3.0\n", encoding="utf-8")
         write_binary_unchecked(tmp_path / "e.bin", np.zeros((3, 1)), ["x", "y", "x"])
+        (tmp_path / "e.partition").write_text("id,label\nx,0\ny,1\nx,0\n", encoding="utf-8")
         path = tmp_path / f"e.{fmt}"
         with pytest.raises(ParseError, match=re.escape(f"{path}: id 'x' repeats in rows 0 and 2")):
-            load_embeddings(path, fmt)
+            if fmt == "partition":
+                load_partition(path, k_declared=2)
+            else:
+                load_embeddings(path, fmt)
 
     def test_ids_that_are_not_utf8_are_a_parse_error(self, tmp_path):
         write_binary_unchecked(tmp_path / "e.bin", np.zeros((1, 1)), [])
@@ -351,6 +368,14 @@ class TestPartitionIO:
         assert back.ids == part.ids
         assert np.array_equal(back.labels, part.labels)
         assert back.k_declared == 3
+
+    @pytest.mark.parametrize("label", ["3", "-1"])
+    def test_label_outside_k_names_the_file_and_the_row(self, tmp_path, label):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,label\na,0\nb,{label}\nc,2\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: row 1: label {label} is not in "
+                                                       "[0, 3)")):
+            load_partition(path, k_declared=3)
 
     def test_file_format(self, tmp_path):
         part = make_partition([0, 1], ids=("a", "b"))

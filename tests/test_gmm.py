@@ -9,6 +9,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,7 @@ class TestSeedingPlan:
             out = {}
             for k, (model, _) in fits:
                 path = tmp_path / f"{label}_{k}.json"
-                save_model(model, config.with_k(k), path)
+                save_model(model, replace(config, k=k), path)
                 out[k] = path.read_bytes()
             return out
 
@@ -329,19 +330,19 @@ class TestSeedingPlan:
             return EmbeddingMatrix(data.ids, data.values)
 
         # A new data object per K: each fit seeds from a plan of its own.
-        cold = model_bytes("cold", [(k, fit(fresh(), config.with_k(k))) for k in ks])
+        cold = model_bytes("cold", [(k, fit(fresh(), replace(config, k=k))) for k in ks])
         runs = {}
         for label, order in (("ascending", ks), ("descending", ks[::-1])):
             same = fresh()
-            runs[label] = model_bytes(label, [(k, fit(same, config.with_k(k))) for k in order])
+            runs[label] = model_bytes(label, [(k, fit(same, replace(config, k=k))) for k in order])
         same = fresh()
         with ThreadPoolExecutor(2) as pool:
-            fits = list(pool.map(lambda k: fit(same, config.with_k(k)), ks[::-1]))
+            fits = list(pool.map(lambda k: fit(same, replace(config, k=k)), ks[::-1]))
         runs["jobs=2"] = model_bytes("jobs2", zip(ks[::-1], fits))
         warm = fresh()
         for n_trials in {_n_trials(k) for k in ks}:
             _seeding_plan(warm, config.seed, n_trials).first(20)
-        runs["warm"] = model_bytes("warm", [(k, fit(warm, config.with_k(k))) for k in ks])
+        runs["warm"] = model_bytes("warm", [(k, fit(warm, replace(config, k=k))) for k in ks])
         for label, got in runs.items():
             assert got == cold, label
 
@@ -444,6 +445,8 @@ class TestModelValidation:
                 GmmConfig(k=1, tol=bad)
             with pytest.raises(ValueError):
                 GmmConfig(k=1, reg_covar=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GmmConfig(k=1, seed=-1)
 
 
 def _reference_render(obj) -> str:
@@ -494,7 +497,7 @@ class TestModelSerialization:
             "weights": model.weights.tolist(),
             "means": model.means.tolist(),
             "variances": model.variances.tolist(),
-            "config": config.to_dict(),
+            "config": asdict(config),
             "final_log_likelihood": model.final_log_likelihood,
             "n_iter": model.n_iter,
             "converged": model.converged,

@@ -140,7 +140,7 @@ class TestArchive:
         _, _, result = three_blob_sweep
         write_archive(result, tmp_path / "arch")
         names = {p.name for p in (tmp_path / "arch").iterdir()}
-        expected = {"config.json", "input.bin", "consecutive_metrics.json"}
+        expected = {"input.bin", "consecutive_metrics.json"}
         expected |= {f"partition_{k}.csv" for k in range(1, 5)}
         expected |= {f"model_{k}.json" for k in range(1, 5)}
         assert names == expected

@@ -66,6 +66,8 @@ class TestPerturbationSpec:
             PerturbationSpec(kind="row_subsample", fraction=0.0)
         with pytest.raises(ValueError):
             PerturbationSpec(kind="seed_variation", seed_range=(5, 2))
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            PerturbationSpec(kind="seed_variation", seed_range=(-1, 0))
 
     def test_kind_checked_by_protocol(self, sweep):
         spec = PerturbationSpec(kind="row_subsample")
@@ -88,9 +90,8 @@ class TestAllKinds:
         draws = []
         if spec.kind == "seed_variation":
             reps = list(spec.seeds())
-            with_seed = GmmConfig.with_seed
-            monkeypatch.setattr(GmmConfig, "with_seed",
-                                lambda self, seed: draws.append(seed) or with_seed(self, seed))
+            monkeypatch.setattr(stability, "replace",
+                                lambda base, seed: draws.append(seed) or replace(base, seed=seed))
         else:
             reps = list(range(spec.repetitions))
             subsample = stability._subsample
