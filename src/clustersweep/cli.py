@@ -30,15 +30,12 @@ from .errors import (
     ParseError,
 )
 from .gmm import GmmConfig
+from .stability import PerturbationSpec
 
 # RunConfig fields that set a fit; each is also a GmmConfig field of that name.
 FIT_SETTINGS = tuple(f.name for f in fields(GmmConfig) if f.name != "k")
 
-KIND_TOKENS = {
-    "dimensions": "dimension_subsample",
-    "rows": "row_subsample",
-    "seeds": "seed_variation",
-}
+KIND_TOKENS = {token: kind for kind, token in stability.KINDS.items()}
 
 COMMANDS = ("sweep", "stability", "sankey", "name")
 
@@ -82,10 +79,11 @@ class RunConfig:
     tol: float = _setting(GmmConfig.tol, "EM convergence threshold", "sweep")
     reg_covar: float = _setting(GmmConfig.reg_covar, "variance floor", "sweep")
     jobs: int = _setting(1, "worker threads for independent fits", "sweep", "stability")
-    fraction: float = _setting(0.8, "subsample fraction", "stability")
-    repetitions: int = _setting(100, "subsample repetitions", "stability", flag="--reps")
-    seed_lo: int = _setting(1, "first comparison seed", "stability")
-    seed_hi: int = _setting(100, "last comparison seed", "stability")
+    fraction: float = _setting(PerturbationSpec.fraction, "subsample fraction", "stability")
+    repetitions: int = _setting(PerturbationSpec.repetitions, "subsample repetitions", "stability",
+                                flag="--reps")
+    seed_lo: int = _setting(PerturbationSpec.seed_range[0], "first comparison seed", "stability")
+    seed_hi: int = _setting(PerturbationSpec.seed_range[1], "last comparison seed", "stability")
     kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
     threshold: str = _setting("150", "minimum edge flow: int, fraction, or 'x%%'", "sankey")
     names: str | None = _setting(None, "name table CSV for node labels", "sankey")
@@ -121,11 +119,11 @@ class RunConfig:
         return GmmConfig(k=self.k_min, **{name: getattr(self, name) for name in FIT_SETTINGS})
 
     @cached_property
-    def specs(self) -> list[stability.PerturbationSpec]:
+    def specs(self) -> list[PerturbationSpec]:
         """One protocol spec per entry of ``kinds``."""
         kw = dict(fraction=self.fraction, repetitions=self.repetitions,
                   seed_range=(self.seed_lo, self.seed_hi))
-        return [stability.PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
+        return [PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
 
 
 def _fits(value, annotation: str) -> bool:
@@ -250,9 +248,7 @@ def cmd_stability(config: RunConfig) -> int:
     curves = []
     for token, spec in zip(config.kinds, config.specs):
         curve = stability.run_protocol(sweep, spec, jobs=config.jobs)
-        stability.write_curve_csv(curve, out / f"stability_{token}.csv")
-        stability.write_curve_json(curve, out / f"stability_{token}.json")
-        stability.write_curve_reps_csv(curve, out / f"stability_{token}_reps.csv")
+        stability.write_curve(curve, out)
         print(f"{token}: wrote {out / f'stability_{token}.csv'}", file=sys.stderr)
         curves.append(curve)
     stability.write_combined_csv(curves, combined)

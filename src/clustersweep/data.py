@@ -173,22 +173,29 @@ def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partiti
     return a_out, b_out
 
 
-def _check_id(row_id: str, row: int, path: Path, seen: dict[str, int]) -> None:
-    """Hold ``row_id`` to the id rule of every file format, or raise ParseError.
+def _check_ids(ids: Sequence[str], path: Path) -> None:
+    """Hold every id to the id rule of every file format, or raise ParseError.
 
     An id has no comma and no line break, and does not start or end with
-    whitespace: CSV rows split at commas and line breaks, and the partition
-    reader strips each line. No id repeats: ``seen`` maps each earlier row's
-    id to its row, and gains this one.
+    whitespace: CSV rows split at commas and line breaks, and a partition id
+    read back must be the id written. No id repeats. The whole list is checked
+    at once; its rows are walked only to name the first that breaks the rule.
     """
-    if any(ch in row_id for ch in ",\r\n") or row_id != row_id.strip():
-        raise ParseError(
-            f"{path}: row {row}: id {row_id!r} contains a comma or a line break, "
-            "or starts or ends with whitespace"
-        )
-    if row_id in seen:
-        raise ParseError(f"{path}: id {row_id!r} repeats in rows {seen[row_id]} and {row}")
-    seen[row_id] = row
+    joined = "\n".join(ids)
+    if (len(set(ids)) == len(ids) and joined.count("\n") == len(ids) - 1
+            and "," not in joined and "\r" not in joined
+            and "\n".join(map(str.strip, ids)) == joined):
+        return
+    seen = {}
+    for row, row_id in enumerate(ids):
+        if any(ch in row_id for ch in ",\r\n") or row_id != row_id.strip():
+            raise ParseError(
+                f"{path}: row {row}: id {row_id!r} contains a comma or a line break, "
+                "or starts or ends with whitespace"
+            )
+        if row_id in seen:
+            raise ParseError(f"{path}: id {row_id!r} repeats in rows {seen[row_id]} and {row}")
+        seen[row_id] = row
 
 
 def _is_float(token: str) -> bool:
@@ -249,15 +256,15 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
     else:
         has_ids = not _is_float(data_rows[0][0])
 
-    width, seen = len(data_rows[0]), {}
+    width = len(data_rows[0])
     for r, fields in enumerate(data_rows):
         if len(fields) != width:
             raise DimensionMismatch(
                 f"{path}: row {r} has {len(fields)} fields, expected {width}"
             )
-        if has_ids:
-            _check_id(fields[0], r, path, seen)
     ids = [f[0] for f in data_rows] if has_ids else [str(r) for r in range(len(data_rows))]
+    if has_ids:
+        _check_ids(ids, path)
     tokens = [f[1:] for f in data_rows] if has_ids else data_rows
     # numpy converts each str with float()'s rules; on a failure the tokens are
     # gone over one at a time to find and name the first bad one.
@@ -306,9 +313,7 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     ids = id_block.split("\n")
     if len(ids) != n:
         raise ParseError(f"{path}: expected {n} ids, found {len(ids)}")
-    seen = {}
-    for r in range(n):
-        _check_id(ids[r], r, path, seen)
+    _check_ids(ids, path)
     if not np.isfinite(values).all():
         r, c = map(int, np.argwhere(~np.isfinite(values))[0])
         raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
@@ -324,9 +329,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
     path = Path(path)
     if format not in ("csv", "bin"):
         raise ParseError(f"unknown embedding format: {format!r}")
-    seen = {}
-    for r, row_id in enumerate(matrix.ids):
-        _check_id(row_id, r, path, seen)
+    _check_ids(matrix.ids, path)
     if format == "csv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cols = ",".join(f"e{c}" for c in range(matrix.d))
@@ -344,6 +347,7 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
 
 def save_partition(partition: Partition, path: str | Path) -> None:
     """Write a partition as an "id,label" CSV."""
+    _check_ids(partition.ids, Path(path))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id,label\n")
         for item, label in zip(partition.ids, partition.labels):
@@ -355,16 +359,16 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
     ids: list[str] = []
     labels: list[int] = []
     try:
-        # Not splitlines(): it also splits at characters such as U+2028, which an id may hold.
+        # Split at "\n" only, not splitlines(): it also splits at characters such
+        # as U+2028, which an id may hold. The id is not stripped: _check_ids holds it.
         with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     for line_no, line in enumerate(lines):
-        line = line.strip()
         if not line or (line_no == 0 and line.lower() == "id,label"):
             continue
-        # rpartition, not rsplit: no list per row, which pays for the checks below.
+        # rpartition, not rsplit: no list per row.
         row_id, comma, label_text = line.rpartition(",")
         if not comma:
             raise ParseError(f"{path}: malformed partition row: {line!r}")
@@ -378,8 +382,5 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
         labels.append(label)
     if not ids:
         raise ParseError(f"{path}: empty partition file")
-    if len(set(ids)) != len(ids):  # per row, _check_id would cost more than the read
-        seen = {}
-        for r, row_id in enumerate(ids):
-            _check_id(row_id, r, path, seen)
+    _check_ids(ids, path)
     return Partition(len(ids), k_declared, np.asarray(labels), tuple(ids))

@@ -11,19 +11,20 @@ the same K. Repetition r draws its randomness from a generator seeded by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import gmm
-from .data import EmbeddingMatrix, Partition, intersect_partitions
+from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions
 from .errors import MissingArchive
 from .metrics import ami
 from .pipeline import SweepResult, _fit_each_k
 
-KINDS = ("dimension_subsample", "row_subsample", "seed_variation")
+# Each kind and the token that names it on the command line and in its file names.
+KINDS = {"dimension_subsample": "dimensions", "row_subsample": "rows", "seed_variation": "seeds"}
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,18 @@ class PerturbationSpec:
 
 @dataclass(frozen=True, eq=False)
 class StabilityCurve:
-    """Mean and population-std AMI per K, plus the full repetition matrix."""
+    """AMI per repetition (rows) and K (columns), with its column mean and population std."""
 
     kind: str
     k_values: tuple[int, ...]
-    mean_ami: tuple[float, ...]
-    std_ami: tuple[float, ...]
     per_rep: np.ndarray
+    mean_ami: tuple[float, ...] = field(init=False)
+    std_ami: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not (len(self.k_values) == len(self.mean_ami) == len(self.std_ami)):
-            raise ValueError("k_values, mean_ami, std_ami must share a length")
+        object.__setattr__(self, "per_rep", _readonly(self.per_rep, dtype=np.float64))
+        object.__setattr__(self, "mean_ami", tuple(float(x) for x in self.per_rep.mean(axis=0)))
+        object.__setattr__(self, "std_ami", tuple(float(x) for x in self.per_rep.std(axis=0)))
 
 
 def _run(
@@ -95,14 +97,7 @@ def _run(
         fitted = _fit_each_k(sub, config, fit_ks, jobs, f" in {kind} {rep} {r}",
                              lambda k, part: compare(part, sweep.partitions[k]))
         rows.append([fitted[k][1] if k in fitted else 1.0 for k in ks])
-    per_rep = np.asarray(rows, dtype=np.float64)
-    return StabilityCurve(
-        kind=kind,
-        k_values=tuple(ks),
-        mean_ami=tuple(float(x) for x in per_rep.mean(axis=0)),
-        std_ami=tuple(float(x) for x in per_rep.std(axis=0)),
-        per_rep=per_rep,
-    )
+    return StabilityCurve(kind, tuple(ks), np.asarray(rows, dtype=np.float64))
 
 
 def _subsample(r: int, n: int, size: int) -> np.ndarray:
@@ -175,32 +170,25 @@ def run_protocol(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> S
     return fn(sweep, spec, jobs)
 
 
-def write_curve_csv(curve: StabilityCurve, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,mean_ami,std_ami\n")
-        for k, m, s in zip(curve.k_values, curve.mean_ami, curve.std_ami):
-            fh.write(f"{k},{m!r},{s!r}\n")
+def write_curve(curve: StabilityCurve, out_dir: str | Path) -> None:
+    """Write a curve's three files into ``out_dir``, named stability_<token> by its kind.
 
-
-def write_curve_reps_csv(curve: StabilityCurve, path: str | Path) -> None:
-    """Wide per-repetition matrix: one row per repetition, one column per K."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rep," + ",".join(f"k{k}" for k in curve.k_values) + "\n")
-        for r in range(curve.per_rep.shape[0]):
-            fh.write(f"{r}," + ",".join(repr(float(x)) for x in curve.per_rep[r]) + "\n")
-
-
-def write_curve_json(curve: StabilityCurve, path: str | Path) -> None:
-    doc = {
-        "kind": curve.kind,
-        "k_values": list(curve.k_values),
-        "mean_ami": list(curve.mean_ami),
-        "std_ami": list(curve.std_ami),
-        "per_rep": [[float(x) for x in row] for row in curve.per_rep],
+    The .csv holds k,mean_ami,std_ami rows; the _reps.csv holds per_rep, one
+    row per repetition and one column per K; the .json holds the whole curve.
+    """
+    per_rep = curve.per_rep.tolist()
+    doc = {"kind": curve.kind, "k_values": list(curve.k_values), "mean_ami": list(curve.mean_ami),
+           "std_ami": list(curve.std_ami), "per_rep": per_rep}
+    files = {
+        ".csv": "k,mean_ami,std_ami\n" + "".join(
+            f"{k},{m!r},{s!r}\n" for k, m, s in zip(curve.k_values, curve.mean_ami, curve.std_ami)),
+        "_reps.csv": "rep," + ",".join(f"k{k}" for k in curve.k_values) + "\n" + "".join(
+            f"{r}," + ",".join(map(repr, row)) + "\n" for r, row in enumerate(per_rep)),
+        ".json": json.dumps(doc, indent=2) + "\n",
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    for suffix, text in files.items():
+        Path(out_dir, f"stability_{KINDS[curve.kind]}{suffix}").write_text(
+            text, encoding="utf-8", newline="\n")
 
 
 def write_combined_csv(curves: list[StabilityCurve], path: str | Path) -> None:

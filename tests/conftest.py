@@ -101,6 +101,28 @@ def nested_centers(d=8, super_sep=30.0, sub_sep=4.0):
     return np.asarray(centers)
 
 
+def _unit(a):
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def embedding_mixture(n, d, seed, n_topics=4, n_sub=4):
+    """Unit-norm, embedding-like mixture of n_topics topics of n_sub subtopics each.
+
+    Subtopic directions sit around topic directions that share a common
+    component, with anisotropic noise. Returns the matrix and each item's
+    subtopic label; subtopic s belongs to topic s // n_sub.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 384)))
+    common = _unit(rng.normal(size=d))
+    topics = _unit(rng.normal(size=(n_topics, d)) + 1.5 * common)
+    k = n_topics * n_sub
+    subs = _unit(np.repeat(topics, n_sub, axis=0) + 0.35 * _unit(rng.normal(size=(k, d))))
+    labels = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 4.0)))
+    scale = 0.075 * rng.lognormal(0.0, 0.5, size=d)
+    values = _unit(subs[labels] + rng.normal(size=(n, d)) * scale)
+    return make_matrix(values), labels
+
+
 @pytest.fixture(scope="session")
 def four_blob_data():
     """4 well-separated blobs: n=2000, d=64, pairwise center distance ~28 sigma."""

@@ -29,7 +29,7 @@ from clustersweep.stability import (
     seed_stability,
 )
 
-from conftest import make_blobs, make_partition, spread_centers
+from conftest import embedding_mixture, make_blobs, make_partition, spread_centers
 
 
 @contextmanager
@@ -373,3 +373,25 @@ def test_criterion_10_naming_pipeline_offline(nested_blobs):
         ]
         stubbed = name_clusters(profiles, DuplicatingStub())
         assert [a.unique_name for a in stubbed] == ["Patriots", "Patriots 2", "Patriots 3"]
+
+
+def test_criterion_11_lineage_recovers_a_planted_hierarchy():
+    with criterion(11, "4x4 planted hierarchy, K=1..20 on 5 seeds: topics at K=4 (AMI 1.0), "
+                       "K=5..16 clusters inside one topic, subtopic AMI >= 0.9 at K=16"):
+        results = {}
+        for seed in range(1, 6):
+            data, subtopic = embedding_mixture(3000, 128, seed)
+            sweep = run_sweep(data, GmmConfig(k=1), 1, 20, jobs=2)
+            topics = make_partition(subtopic // 4, k=4, ids=data.ids)
+            # Topics a cluster's items come from, largest over K=5..16: 1 if each lies in one.
+            spans = max(int((build_contingency(sweep.partitions[k], topics).counts > 0)
+                            .sum(axis=1).max()) for k in range(5, 17))
+            results[seed] = (ami(sweep.partitions[4], topics).ami, spans,
+                             ami(sweep.partitions[16], make_partition(subtopic, k=16,
+                                                                      ids=data.ids)).ami)
+            print(f"seed {seed}: topic AMI at K=4 {results[seed][0]!r}, at most {spans} "
+                  f"topic(s) per cluster at K=5..16, subtopic AMI at K=16 {results[seed][2]:.3f}")
+        for seed, (topic_ami, spans, subtopic_ami) in results.items():
+            assert topic_ami == 1.0, f"seed {seed}: topic AMI at K=4 {topic_ami}"
+            assert spans == 1, f"seed {seed}: a cluster at K=5..16 spans {spans} topics"
+            assert subtopic_ami >= 0.9, f"seed {seed}: subtopic AMI at K=16 {subtopic_ami}"

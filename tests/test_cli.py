@@ -383,13 +383,13 @@ class TestStabilityCommand:
         assert main(args) == 0
         assert (out / "stability_combined.csv").exists()
         # The first kind's refits fit as usual; once its curve is written, K=3 fails.
-        write_reps = clustersweep.stability.write_curve_reps_csv
+        write_curve = clustersweep.stability.write_curve
 
-        def write_then_fail_k3(curve, path):
-            write_reps(curve, path)
+        def write_then_fail_k3(curve, out_dir):
+            write_curve(curve, out_dir)
             monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit("nan", k=3))
 
-        monkeypatch.setattr("clustersweep.stability.write_curve_reps_csv", write_then_fail_k3)
+        monkeypatch.setattr("clustersweep.stability.write_curve", write_then_fail_k3)
         assert main(args) == 3
         assert (out / "stability_dimensions.csv").exists()
         assert not (out / "stability_combined.csv").exists()
@@ -630,6 +630,22 @@ class TestSankeyCommand:
         for command in ("sankey", "stability"):
             assert main([command, "--out", str(out)]) == 2
             assert message.format(**first_row) in capsys.readouterr().err
+
+    def test_partition_id_with_a_trailing_space_exits_2_without_input_bin(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        # Without input.bin, every partition file agrees on the id; the id rule alone catches it.
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        (out / "input.bin").unlink()
+        for path in out.glob("partition_*.csv"):
+            header, line, *rest = path.read_text().splitlines()
+            row_id, label = line.split(",")
+            path.write_text("\n".join([header, f"{row_id} ,{label}", *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["sankey", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"partition_\d+\.csv: row 0: id ", err) and repr(f"{row_id} ") in err
 
     @pytest.mark.parametrize("row, message", [
         (b"x,0,5,foo,fallback", "names.csv: row 1: k and cluster must be integers"),

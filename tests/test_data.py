@@ -279,6 +279,16 @@ class TestIdRule:
             expected = "expected .* ids" if "\n" in bad else f"row {row}: id"
             with pytest.raises(ParseError, match=expected):
                 load_embeddings(Path(tmp) / "m.bin", "bin")
+            path = Path(tmp) / "partition_1.csv"
+            with pytest.raises(ParseError, match=f"row {row}: id"):
+                save_partition(make_partition(np.zeros(len(ids), dtype=int), k=1, ids=ids), path)
+            assert not path.exists()
+            # A line break inside an id splits the partition row itself.
+            if not any(ch in bad for ch in "\r\n"):
+                path.write_text("id,label\n" + "".join(f"{i},0\n" for i in ids),
+                                encoding="utf-8", newline="\n")
+                with pytest.raises(ParseError, match=f"row {row}: id"):
+                    load_partition(path, k_declared=1)
 
     @pytest.mark.parametrize("row_id", [" a", "a ", "\ta"])
     def test_csv_reader_rejects_surrounding_whitespace(self, tmp_path, row_id):
@@ -286,6 +296,14 @@ class TestIdRule:
         (tmp_path / "e.csv").write_text(f"id,e0\nb,1.0\n{row_id},2.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f"row 1: id {row_id!r}")):
             load_embeddings(tmp_path / "e.csv", "csv")
+
+    @pytest.mark.parametrize("row, row_id", [(" a,0", " a"), ("b ,1", "b ")])
+    def test_partition_reader_rejects_surrounding_whitespace(self, tmp_path, row, row_id):
+        # Stripping the line would read ' a' as 'a', and 'b ' would pass unchecked.
+        path = tmp_path / "partition_2.csv"
+        path.write_text(f"id,label\nc,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: row 1: id {row_id!r}")):
+            load_partition(path, k_declared=2)
 
     @pytest.mark.parametrize("fmt", ["csv", "bin", "partition"])
     def test_repeated_id_names_the_file_the_id_and_both_rows(self, tmp_path, fmt):
@@ -392,8 +410,7 @@ ARRAY_HOLDERS = {
         k=2, weights=[0.5, 0.5], means=[[0.0], [1.0]], variances=[[1.0], [1.0]]
     ),
     "StabilityCurve": lambda: StabilityCurve(
-        kind="row_subsample", k_values=(1, 2), mean_ami=(1.0, 0.5), std_ami=(0.0, 0.1),
-        per_rep=np.array([[1.0, 0.4], [1.0, 0.6]]),
+        kind="row_subsample", k_values=(1, 2), per_rep=np.array([[1.0, 0.4], [1.0, 0.6]]),
     ),
 }
 

@@ -17,9 +17,7 @@ from clustersweep.stability import (
     run_protocol,
     seed_stability,
     write_combined_csv,
-    write_curve_csv,
-    write_curve_json,
-    write_curve_reps_csv,
+    write_curve,
 )
 
 from conftest import failing_fit, make_blobs, spread_centers
@@ -203,6 +201,13 @@ class TestReferencesAndAggregation:
         curve = dimension_stability(sweep(1, 3), spec)
         assert curve.std_ami == (0.0, 0.0, 0.0)
 
+    def test_per_rep_is_read_only(self, sweep):
+        # A write to per_rep would leave mean_ami and std_ami describing other values.
+        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
+        curve = seed_stability(sweep(1, 2), spec)
+        with pytest.raises(ValueError, match="read-only"):
+            curve.per_rep[0, 0] = 0.5
+
     def test_ami_values_in_bounds(self, sweep):
         spec = PerturbationSpec(kind="dimension_subsample", fraction=0.3, repetitions=5)
         curve = dimension_stability(sweep(1, 4), spec)
@@ -222,8 +227,8 @@ class TestCurveExport:
 
     def test_csv(self, sweep, tmp_path):
         curve = self._curve(sweep)
-        write_curve_csv(curve, tmp_path / "c.csv")
-        lines = (tmp_path / "c.csv").read_text().splitlines()
+        write_curve(curve, tmp_path)
+        lines = (tmp_path / "stability_seeds.csv").read_text().splitlines()
         assert lines[0] == "k,mean_ami,std_ami"
         assert len(lines) == 4
         k, mean, std = lines[1].split(",")
@@ -231,19 +236,38 @@ class TestCurveExport:
 
     def test_reps_csv(self, sweep, tmp_path):
         curve = self._curve(sweep)
-        write_curve_reps_csv(curve, tmp_path / "r.csv")
-        lines = (tmp_path / "r.csv").read_text().splitlines()
+        write_curve(curve, tmp_path)
+        lines = (tmp_path / "stability_seeds_reps.csv").read_text().splitlines()
         assert lines[0] == "rep,k1,k2,k3"
         assert len(lines) == 4
 
     def test_json_mirror(self, sweep, tmp_path):
         curve = self._curve(sweep)
-        write_curve_json(curve, tmp_path / "c.json")
-        doc = json.loads((tmp_path / "c.json").read_text())
+        write_curve(curve, tmp_path)
+        doc = json.loads((tmp_path / "stability_seeds.json").read_text())
         assert doc["kind"] == "seed_variation"
         assert doc["k_values"] == [1, 2, 3]
         assert doc["mean_ami"] == list(curve.mean_ami)
         assert len(doc["per_rep"]) == 3
+
+    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
+    def test_three_files_agree_with_per_rep(self, sweep, tmp_path, spec):
+        curve = run_protocol(sweep(1, 4), spec)
+        write_curve(curve, tmp_path)
+        stem = tmp_path / f"stability_{stability.KINDS[spec.kind]}"
+        doc = json.loads(stem.with_suffix(".json").read_text())
+        rows = [line.split(",") for line in stem.with_suffix(".csv").read_text().splitlines()[1:]]
+        assert [int(k) for k, _, _ in rows] == doc["k_values"] == list(curve.k_values)
+        assert [float(m) for _, m, _ in rows] == doc["mean_ami"]
+        assert [float(s) for _, _, s in rows] == doc["std_ami"]
+        reps = [line.split(",")[1:] for line in
+                (tmp_path / f"{stem.name}_reps.csv").read_text().splitlines()[1:]]
+        assert [[float(x) for x in row] for row in reps] == doc["per_rep"]
+        assert any(doc["std_ami"])  # the repetitions differ, so the columns have a spread
+        per_rep = np.asarray(doc["per_rep"], dtype=np.float64)
+        assert per_rep.tobytes() == curve.per_rep.tobytes()
+        assert np.asarray(doc["mean_ami"]).tobytes() == per_rep.mean(axis=0).tobytes()
+        assert np.asarray(doc["std_ami"]).tobytes() == per_rep.std(axis=0).tobytes()
 
     def test_combined_csv(self, sweep, tmp_path):
         spec_d = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=2)
