@@ -239,7 +239,7 @@ def cmd_stability(config: RunConfig) -> int:
         )
     _archived_fit_settings(config, archive)  # the refits use archive.base
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
-    for spec in config.specs:  # input.bin and every kind's fraction, before the first refit
+    for spec in config.specs:  # every kind's fraction, before the first refit
         stability._draw_size(spec, sweep)
 
     # The combined file holds this run's kinds only, and only once every kind has run.

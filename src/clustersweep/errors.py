@@ -18,7 +18,7 @@ class ParseError(ClusterSweepError):
 
 
 class MissingArchive(ParseError):
-    """A directory holds no sweep archive (no partition files)."""
+    """A directory holds no sweep archive (no partition files), or one without input.bin."""
 
 
 class NonFiniteValue(ClusterSweepError):

@@ -30,6 +30,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # considered starved and gets reseeded.
 STARVATION_FRACTION = 1e-10
 
+# Lloyd rounds at most, after k-means++ seeding.
+LLOYD_ROUNDS = 10
+
 IterationHook = Callable[[int, float, np.ndarray], None]
 
 # Thread-count setters of the OpenBLAS builds that numpy wheels ship: numpy 2's
@@ -42,9 +45,6 @@ _BLAS_SETTERS = (
 
 # JSON types per GmmConfig field type; save_model prints a whole float as an int.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-
-# Fields older model files carry, with the one value this version fits with.
-_RETIRED = {"covariance": "diag", "n_init": 1, "init_method": "kmeans"}
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,10 @@ class GmmConfig:
     def from_dict(cls, d: dict) -> "GmmConfig":
         """Inverse of ``dataclasses.asdict`` that checks each field's JSON type.
 
-        Accepts the entries of retired fields that older files carry, at the
-        one value this version fits with. Raises TypeError on a missing,
-        unknown or ill-typed field, and on any other value of a retired one.
+        Raises TypeError on a missing, unknown or ill-typed field.
         """
-        d = dict(d)
-        for key, only in _RETIRED.items():
-            if key in d:
-                value = d.pop(key)
-                if (type(value), value) != (type(only), only):
-                    raise TypeError(f"config field {key!r} is {value!r}; "
-                                    f"only a fit with {only!r} can be reproduced")
+        if not isinstance(d, dict):
+            raise TypeError(f"config must be a JSON object, got {d!r}")
         for f in fields(cls):
             value = d.get(f.name)
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
@@ -321,11 +314,11 @@ def _seeding_plan(data: EmbeddingMatrix, seed: int, n_trials: int) -> _SeedingPl
         return plans[n_trials]
 
 
-def _lloyd_labels(X: np.ndarray, centers: np.ndarray, max_rounds: int = 10) -> np.ndarray:
+def _lloyd_labels(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     n, k = X.shape[0], centers.shape[0]
     x_sq = np.sum(X * X, axis=1)
     labels = None
-    for _ in range(max_rounds):
+    for _ in range(LLOYD_ROUNDS):
         d_sq = x_sq[:, None] - 2.0 * (X @ centers.T) + np.sum(centers * centers, axis=1)
         new_labels = np.argmin(d_sq, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):

@@ -37,14 +37,14 @@ class ConsecutiveComparison:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Partitions, models, fit settings (at k_min) and input (None if not archived) of a sweep."""
+    """Partitions, models, fit settings (at k_min) and input of a sweep."""
 
     k_min: int
     k_max: int
     partitions: dict[int, Partition]
     models: dict[int, MixtureModel]
     base: GmmConfig
-    data: EmbeddingMatrix | None
+    data: EmbeddingMatrix
 
     @cached_property
     def consecutive(self) -> tuple[ConsecutiveComparison, ...]:
@@ -132,12 +132,24 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
     return fitted
 
 
+def _k_files(root: Path, stem: str, suffix: str) -> list[tuple[int, Path]]:
+    """(K, path) of every <stem>_<digits><suffix> file in root."""
+    return [(int(m.group(1)), p) for p in root.glob(f"{stem}_*{suffix}")
+            if (m := re.fullmatch(rf"{stem}_(\d+){re.escape(suffix)}", p.name))]
+
+
 def write_archive(result: SweepResult, out_dir: str | Path) -> None:
-    """Write a sweep archive; reruns with equal inputs produce identical bytes."""
+    """Write a sweep archive; reruns with equal inputs produce identical bytes.
+
+    Partition and model files of any K outside the sweep's range are deleted.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if result.data is not None:
-        save_embeddings(result.data, out / "input.bin", "bin")
+    for stem, suffix in (("partition", ".csv"), ("model", ".json")):
+        for k, path in _k_files(out, stem, suffix):
+            if not result.k_min <= k <= result.k_max:
+                path.unlink()
+    save_embeddings(result.data, out / "input.bin", "bin")
     for k in range(result.k_min, result.k_max + 1):
         save_partition(result.partitions[k], out / f"partition_{k}.csv")
         gmm.save_model(result.models[k], replace(result.base, k=k), out / f"model_{k}.json")
@@ -150,16 +162,12 @@ def read_archive(path: str | Path) -> SweepResult:
     """Load a sweep archive back; consecutive metrics are recomputed exactly on first use.
 
     The K range is the archive's own. Every K needs a model_K.json; their fit
-    settings must agree. input.bin, if present, must hold partition_<k_min>.csv's
-    ids, in order, and every model's d; without it ``data`` is None. Raises
-    MissingArchive if there are no partition files.
+    settings must agree. input.bin must hold partition_<k_min>.csv's ids, in
+    order, and every model's d. Raises MissingArchive if there are no partition
+    files or no input.bin.
     """
     root = Path(path)
-    ks = sorted(
-        int(m.group(1))
-        for p in root.glob("partition_*.csv")
-        if (m := re.fullmatch(r"partition_(\d+)\.csv", p.name))
-    )
+    ks = sorted(k for k, _ in _k_files(root, "partition", ".csv"))
     if not ks:
         raise MissingArchive(f"no sweep archive in {root}; run the sweep first")
     if ks != list(range(ks[0], ks[-1] + 1)):
@@ -175,15 +183,15 @@ def read_archive(path: str | Path) -> SweepResult:
         bases.add(replace(config, k=ks[0]))
     if len(bases) > 1:
         raise ParseError(f"{root}: model files disagree on the fit settings")
-    data = None
-    if (root / "input.bin").exists():
-        data = _load_binary(root / "input.bin")
-        if data.ids != ids:
-            raise ParseError(f"{root / 'input.bin'}: ids differ from partition_{ks[0]}.csv's")
-        for k in ks:
-            if models[k].means.shape[1] != data.d:
-                raise ParseError(f"{root / 'input.bin'}: d={data.d} where model_{k}.json "
-                                 f"has d={models[k].means.shape[1]}")
+    if not (root / "input.bin").exists():
+        raise MissingArchive(f"{root}: the sweep archive has no input.bin; run the sweep again")
+    data = _load_binary(root / "input.bin")
+    if data.ids != ids:
+        raise ParseError(f"{root / 'input.bin'}: ids differ from partition_{ks[0]}.csv's")
+    for k in ks:
+        if models[k].means.shape[1] != data.d:
+            raise ParseError(f"{root / 'input.bin'}: d={data.d} where model_{k}.json "
+                             f"has d={models[k].means.shape[1]}")
     return SweepResult(
         k_min=ks[0],
         k_max=ks[-1],

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions
-from .errors import MissingArchive
 from .metrics import ami
 from .pipeline import SweepResult, _fit_each_k
 
@@ -107,13 +106,8 @@ def _subsample(r: int, n: int, size: int) -> np.ndarray:
 
 
 def _draw_size(spec: PerturbationSpec, sweep: SweepResult) -> int:
-    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError.
-
-    A sweep without its input (an archive without input.bin) raises MissingArchive.
-    """
+    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError."""
     data = sweep.data
-    if data is None:
-        raise MissingArchive("the sweep archive has no input.bin to refit; run the sweep again")
     size = int(spec.fraction * (data.d if spec.kind == "dimension_subsample" else data.n))
     if spec.kind == "dimension_subsample" and size < 1:
         raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")

@@ -473,18 +473,14 @@ class TestStabilityCommand:
                 "--reps", "1", "--seed-lo", "1", "--seed-hi", "1"]
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in out.glob("stability_*")}
-        (out / "input.bin").unlink()  # as written before archives kept it
+        (out / "input.bin").unlink()
         fits = []
         monkeypatch.setattr("clustersweep.gmm.fit", lambda *args: fits.append(args))
         capsys.readouterr()
         assert main(argv) == 2
-        assert "no input.bin to refit; run the sweep again" in capsys.readouterr().err
+        assert "has no input.bin; run the sweep again" in capsys.readouterr().err
         assert fits == []
         assert {p.name: p.read_bytes() for p in out.glob("stability_*")} == before
-        monkeypatch.undo()
-        assert main(["sankey", "--out", str(out)]) == 0
-        assert main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
-                     "--fallback"]) == 0
 
     @pytest.mark.parametrize("rows, columns, message", [
         (range(120), range(12), "ids differ from partition_1.csv's"),
@@ -510,6 +506,42 @@ class TestStabilityCommand:
                      "--seed-lo", "1", "--seed-hi", "1"]) == 2
         assert f"{out / 'input.bin'}: {message}" in capsys.readouterr().err
         assert not (out / "stability_seeds.csv").exists()
+
+
+class TestEveryStageChecksInputBin:
+    """stability, sankey and name refuse an archive whose input.bin is missing or not its own."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "has no input.bin; run the sweep again"),
+        ("other-ids", "input.bin: ids differ from partition_1.csv's"),
+        ("other-d", "input.bin: d=11 where model_1.json has d=12"),
+    ], ids=["missing", "other-ids", "other-d"])
+    @pytest.mark.parametrize("stage", [
+        ["stability", "--k-max", "5", "--kinds", "seeds", "--seed-lo", "1", "--seed-hi", "1"],
+        ["sankey"],
+        ["name", "--fallback"],
+    ], ids=lambda stage: stage[0])
+    def test_exits_2_naming_input_bin_before_any_fit(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, stage, case, message
+    ):
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        data = load_embeddings(fixture_dir / "emb.csv")
+        if case == "missing":
+            (out / "input.bin").unlink()
+        elif case == "other-ids":
+            save_embeddings(data.subset_rows(range(120)), out / "input.bin", "bin")
+        else:
+            save_embeddings(data.subset_columns(range(11)), out / "input.bin", "bin")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fits = []
+        monkeypatch.setattr("clustersweep.gmm.fit", lambda *args: fits.append(args))
+        capsys.readouterr()
+        texts = ["--texts", str(fixture_dir / "texts.csv")] if stage[0] == "name" else []
+        assert main([*stage, "--out", str(out), *texts]) == 2
+        assert message in capsys.readouterr().err
+        assert fits == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestArchiveRange:
@@ -631,13 +663,11 @@ class TestSankeyCommand:
             assert main([command, "--out", str(out)]) == 2
             assert message.format(**first_row) in capsys.readouterr().err
 
-    def test_partition_id_with_a_trailing_space_exits_2_without_input_bin(
-        self, fixture_dir, tmp_path, capsys
-    ):
-        # Without input.bin, every partition file agrees on the id; the id rule alone catches it.
+    def test_partition_id_with_a_trailing_space_exits_2(self, fixture_dir, tmp_path, capsys):
+        # Every partition file agrees on the id, and partitions are read before input.bin:
+        # the id rule alone catches it.
         out = tmp_path / "run"
         assert run_sweep_once(fixture_dir, out) == 0
-        (out / "input.bin").unlink()
         for path in out.glob("partition_*.csv"):
             header, line, *rest = path.read_text().splitlines()
             row_id, label = line.split(",")
@@ -659,21 +689,23 @@ class TestSankeyCommand:
         assert main(["sankey", "--out", str(out), "--names", str(names)]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry, loads", [
-        ({"n_init": 1, "init_method": "kmeans"}, True),
-        ({"n_init": 5}, False),
-        ({"init_method": "random-responsibility"}, False),
+    @pytest.mark.parametrize("entry", [
+        {"n_init": 1, "init_method": "kmeans"},
+        {"n_init": 5},
+        {"init_method": "random-responsibility"},
+        {"covariance": "diag"},
     ])
-    def test_archive_with_retired_fit_settings(self, fixture_dir, tmp_path, capsys, entry, loads):
-        """An older archive reads unless its fits used an initialization this version lacks."""
+    def test_archive_with_retired_fit_settings(self, fixture_dir, tmp_path, capsys, entry):
+        """A retired fit setting is an unknown field at any value: exit 2, naming the model."""
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
         path = out / "model_3.json"
         doc = json.loads(path.read_text())
         doc["config"].update(entry)
         path.write_text(json.dumps(doc))
-        assert main(["sankey", "--out", str(out)]) == (0 if loads else 2)
-        assert loads or "model_3.json" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["sankey", "--out", str(out)]) == 2
+        assert "model_3.json" in capsys.readouterr().err
 
 
 class TestNameCommand:

@@ -526,26 +526,13 @@ class TestModelSerialization:
         save_model(model, GmmConfig(k=1), tmp_path / "m.json")
         assert "0.10000000000000001" in (tmp_path / "m.json").read_text()
 
-    def test_reads_files_with_covariance_entry(self, tmp_path):
-        """Model files carrying retired fields at their one reproducible value still load."""
-        model = MixtureModel(
-            k=1, weights=[1.0], means=[[0.5]], variances=[[2.0]],
-            converged=True, n_iter=1, final_log_likelihood=-1.0,
-        )
-        save_model(model, GmmConfig(k=1, seed=7), tmp_path / "m.json")
-        doc = json.loads((tmp_path / "m.json").read_text())
-        doc["config"] = {"k": 1, "covariance": "diag", **doc["config"],
-                         "n_init": 1, "init_method": "kmeans"}
-        (tmp_path / "m.json").write_text(json.dumps(doc))
-        back, back_config = load_model(tmp_path / "m.json")
-        assert back_config == GmmConfig(k=1, seed=7)
-        assert np.array_equal(back.means, model.means)
-
     @pytest.mark.parametrize("field, value", [
         ("weights", None), ("k", "three"), ("means", [[0.5, 1.0]]),
         ("config.tol", None), ("config.seed", "7"), ("config.n_init", True), ("config", [1]),
         ("config.n_init", 5), ("config.init_method", "random-responsibility"),
         ("config.covariance", "full"), ("config.reg_covar", math.inf),
+        # Retired fields are unknown fields, whatever their value.
+        ("config.covariance", "diag"), ("config.n_init", 1), ("config.init_method", "kmeans"),
     ])
     def test_missing_or_ill_typed_field_is_parse_error(self, tmp_path, field, value):
         model = MixtureModel(

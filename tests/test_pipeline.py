@@ -5,12 +5,14 @@ import pytest
 
 import clustersweep.gmm
 from clustersweep.data import ContingencyTable, build_contingency
-from clustersweep.errors import ClusterSweepError, NumericFailure, OutOfRange, ParseError
+from clustersweep.errors import (
+    ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError,
+)
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import ami, stability_from_table
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
-from conftest import axis_centers, make_blobs, make_partition
+from conftest import axis_centers, make_blobs, make_matrix, make_partition
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,37 @@ class TestArchive:
         expected |= {f"partition_{k}.csv" for k in range(1, 5)}
         expected |= {f"model_{k}.json" for k in range(1, 5)}
         assert names == expected
+
+    def test_narrower_sweep_removes_the_earlier_sweeps_other_k(self, three_blob_sweep, tmp_path):
+        data, _, result = three_blob_sweep
+        arch = tmp_path / "arch"
+        write_archive(result, arch)
+        bystanders = ["partition_notes.csv", "partition_4.csv.bak", "model_04.json.old"]
+        for name in bystanders:
+            (arch / name).write_text("kept\n")
+        other = make_matrix(np.random.default_rng(0).normal(size=data.values.shape), data.ids)
+        narrow = run_sweep(other, GmmConfig(k=1), 2, 3)
+        write_archive(narrow, arch)
+        names = {p.name for p in arch.iterdir()}
+        assert names == {"input.bin", "consecutive_metrics.json", *bystanders,
+                         "partition_2.csv", "partition_3.csv", "model_2.json", "model_3.json"}
+        back = read_archive(arch)
+        assert (back.k_min, back.k_max) == (2, 3)
+        for k in (2, 3):
+            assert np.array_equal(back.partitions[k].labels, narrow.partitions[k].labels)
+
+    def test_input_bin_is_required_and_read_after_the_partitions(self, three_blob_sweep, tmp_path):
+        _, _, result = three_blob_sweep
+        arch = tmp_path / "arch"
+        write_archive(result, arch)
+        (arch / "input.bin").unlink()
+        with pytest.raises(MissingArchive, match="has no input.bin; run the sweep again"):
+            read_archive(arch)
+        path = arch / "partition_2.csv"
+        header, line, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, line.split(",")[0] + ",9", *rest]) + "\n")
+        with pytest.raises(ParseError, match=r"partition_2\.csv: row 0: label 9 is not"):
+            read_archive(arch)
 
     def test_model_files_must_agree_on_fit_settings(self, three_blob_sweep, tmp_path):
         _, _, result = three_blob_sweep

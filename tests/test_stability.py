@@ -7,7 +7,7 @@ import pytest
 
 import clustersweep.gmm
 from clustersweep import stability
-from clustersweep.errors import ClusterSweepError, MissingArchive, NumericFailure
+from clustersweep.errors import ClusterSweepError, NumericFailure
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import run_sweep
 from clustersweep.stability import (
@@ -116,16 +116,6 @@ class TestAllKinds:
         rep = "seed 1" if spec.kind == "seed_variation" else "repetition 0"
         with pytest.raises(error, match=re.escape(message.format(where=f"{spec.kind} {rep}"))):
             run_protocol(reference, spec, jobs=2)
-
-    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
-    def test_sweep_without_its_input_raises_before_any_refit(self, sweep, spec, monkeypatch):
-        # As read from an archive written before archives kept input.bin.
-        old = replace(sweep(1, 3), data=None)
-        fits = []
-        monkeypatch.setattr("clustersweep.stability.gmm.fit", lambda *args: fits.append(args))
-        with pytest.raises(MissingArchive, match="no input.bin to refit; run the sweep again"):
-            run_protocol(old, spec)
-        assert fits == []
 
 
 class TestDimensionStability:
