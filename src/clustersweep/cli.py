@@ -166,7 +166,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
@@ -277,7 +277,7 @@ def _load_texts(path: str | Path) -> dict[str, str]:
     """The id -> text map of an 'id,text' CSV, in which no id repeats."""
     texts, rows = {}, {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:

@@ -230,7 +230,7 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
 def _load_csv(path: Path) -> EmbeddingMatrix:
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 # Fields keep their spaces: float() ignores them, and an id may not have them.
                 if line.strip():

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import EmbeddingMatrix, Partition
+from .data import EmbeddingMatrix, Partition, _readonly
 from .errors import DimensionMismatch, InsufficientData, ParseError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -43,8 +43,8 @@ _BLAS_SETTERS = (
     "openblas_set_num_threads",
 )
 
-# JSON types per GmmConfig field type; save_model prints a whole float as an int.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# JSON types per GmmConfig field type; older model files print a whole float as an int.
+_JSON_TYPES = {"int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ class MixtureModel:
 
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
-            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype=np.float64))
         if self.weights.shape != (self.k,):
             raise DimensionMismatch("weights must have shape (k,)")
         if self.means.ndim != 2 or self.means.shape[0] != self.k:
@@ -435,32 +433,13 @@ def _pin_blas() -> None:
         setter(1)
 
 
-def _json_number(x) -> str:
-    # json.dumps prints a float by repr, not at 17 significant digits; json.loads
-    # reads the NaN, Infinity and -Infinity that it prints back.
-    return format(x, ".17g") if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
-
-
-def _json_row(values: np.ndarray) -> str:
-    # A finite row in one join: the same text as _json_number's, without a call per value.
-    number = "{:.17g}".format if np.isfinite(values).all() else _json_number
-    return "[" + ", ".join(map(number, values.tolist())) + "]"
-
-
 def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None:
-    """Write a fitted model as JSON with floats at 17 significant digits."""
-    def matrix(a: np.ndarray) -> str:
-        return "[" + ", ".join(map(_json_row, a)) + "]"
-
-    settings = ", ".join(f'"{name}": {_json_number(v)}' for name, v in asdict(config).items())
-    Path(path).write_text(
-        f'{{"k": {model.k}, "weights": {_json_row(model.weights)}, '
-        f'"means": {matrix(model.means)}, "variances": {matrix(model.variances)}, '
-        f'"config": {{{settings}}}, '
-        f'"final_log_likelihood": {_json_number(float(model.final_log_likelihood))}, '
-        f'"n_iter": {model.n_iter}, "converged": {"true" if model.converged else "false"}}}\n',
-        encoding="utf-8",
-    )
+    """Write a fitted model as one line of JSON whose floats read back bit for bit."""
+    doc = {"k": int(model.k), "weights": model.weights.tolist(), "means": model.means.tolist(),
+           "variances": model.variances.tolist(), "config": asdict(config),
+           "final_log_likelihood": float(model.final_log_likelihood),
+           "n_iter": int(model.n_iter), "converged": bool(model.converged)}
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[MixtureModel, GmmConfig]:

@@ -181,24 +181,18 @@ def ami_from_table(t: ContingencyTable) -> AmiReport:
     h_v = _entropy_from_sizes(t.col_sums, t.total)
     mi = mutual_information(t)
     emi = expected_mutual_information(t)
-    if h_u == 0.0 and h_v == 0.0:
-        # Two trivial clusterings agree perfectly.
-        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=1.0)
-    if h_u == 0.0 or h_v == 0.0:
-        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=0.0)
     if _is_one_to_one(t):
-        # Identical partition structure; return 1.0 exactly rather than
-        # (mi - emi) / (h - emi) with its last-bit noise.
-        return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=1.0)
-    normalizer = (h_u + h_v) / 2.0
-    numerator = mi - emi
-    denominator = normalizer - emi
-    if denominator <= 0.0:
+        # Identical partition structure, two trivial clusterings included; 1.0
+        # exactly rather than (mi - emi) / (h - emi) with its last-bit noise.
+        value = 1.0
+    elif h_u == 0.0 or h_v == 0.0:
+        value = 0.0
+    elif (denominator := (h_u + h_v) / 2.0 - emi) <= 0.0:
         # Chance agreement saturates the normalizer; only reachable through
         # floating-point noise since identical structure is handled above.
-        value = 1.0 if numerator > 0.0 else 0.0
+        value = 1.0 if mi - emi > 0.0 else 0.0
     else:
-        value = numerator / denominator
+        value = (mi - emi) / denominator
     return AmiReport(mi=mi, emi=emi, entropy_u=h_u, entropy_v=h_v, ami=value)
 
 

@@ -315,7 +315,7 @@ def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
     """Read a name table back as a (k, cluster) -> unique_name map."""
     names: dict[tuple[int, int], str] = {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
@@ -334,7 +334,7 @@ def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blank lines ignored."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     words = set()
@@ -348,7 +348,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 def load_emoji_map(path: str | Path) -> dict[str, str]:
     """JSON object mapping emoji strings to replacement names."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: invalid emoji map JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(

@@ -241,9 +241,9 @@ the embedded data).</p>
 
 def export_html(g: dict, path: str | Path) -> None:
     """Write one self-contained HTML document: inline SVG plus the embedded graph document."""
-    graph_json = json.dumps(g, indent=2, ensure_ascii=True)
-    # "</" must not appear inside the inline script block.
-    graph_json = graph_json.replace("</", "<\\/")
+    # No "<" in the script block, so no "</script" or "<!--" can end or re-nest it;
+    # "\\u003c" is JSON for the same character.
+    graph_json = json.dumps(g, indent=2, ensure_ascii=True).replace("<", "\\u003c")
     doc = _HTML_TEMPLATE.format(
         threshold=g["threshold"], svg=render_svg(g), graph_json=graph_json
     )

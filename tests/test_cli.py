@@ -17,7 +17,7 @@ from clustersweep import naming
 from clustersweep.cli import (
     RunConfig, _load_texts, build_parser, main, parse_threshold, resolve_config,
 )
-from clustersweep.data import load_embeddings, load_partition, save_embeddings
+from clustersweep.data import EmbeddingMatrix, load_embeddings, load_partition, save_embeddings
 from clustersweep.errors import ParseError
 from clustersweep.gmm import GmmConfig
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
@@ -866,6 +866,38 @@ class TestNameCommand:
         assert main(argv) == 0
         assert len(calls) == 200  # once per id of the archive, not once per id and K
         assert (out / "names.csv").read_bytes() == in_order
+
+
+def _load_sweep_config(path):
+    return resolve_config(build_parser().parse_args(["sweep", "--config", str(path)]))
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" and some editors start a text file with a UTF-8 byte-order mark."""
+
+    @pytest.mark.parametrize("text, load", [
+        ("1.2573,0.5,-3.25\n2.0,1.5,0.75\n", load_embeddings),
+        ("id,e0,e1\n10,1.0,2.0\n11,3.0,4.0\n", load_embeddings),
+        ("id,text\n1,loving yoga\n2,moon\n", _load_texts),
+        ("the\nand\n", naming.load_stopwords),
+        ("k,cluster,raw_name,unique_name,backend\n2,0,yoga,yoga,fallback\n",
+         naming.load_name_table),
+        ('{"\U0001f525": "fire"}', naming.load_emoji_map),
+        ('{"seed": 3, "k_max": 6}', _load_sweep_config),
+    ], ids=["embeddings", "embeddings-with-ids", "texts", "stopwords", "name-table",
+            "emoji-map", "config"])
+    def test_loads_equal_to_the_file_without_one(self, tmp_path, text, load):
+        def loaded():
+            value = load(path)
+            if isinstance(value, EmbeddingMatrix):  # it has no __eq__
+                return value.ids, value.values.shape, value.values.tobytes()
+            return value
+
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        plain = loaded()
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert loaded() == plain
 
 
 class TestDegenerateInputs:

@@ -219,6 +219,18 @@ class TestHtmlExport:
         assert len(embedded["nodes"]) == len(g["nodes"])
         assert len(embedded["edges"]) == len(g["edges"])
 
+    def test_labels_cannot_open_or_close_the_data_block(self, blob_sweep, tmp_path):
+        _, result = blob_sweep
+        labels = {(1, 0): "</script>", (2, 0): "fans <!--<script>", (2, 1): "<3"}
+        g = build_graph(result, names=labels, threshold=0)
+        export_html(g, tmp_path / "g.html")
+        doc = (tmp_path / "g.html").read_text()
+        tag = '<script type="application/json" id="graph-data">'
+        payload = doc.split(tag, 1)[1].split("</script>", 1)[0]
+        assert "<" not in payload
+        assert json.loads(payload) == g
+        assert {n["label"] for n in g["nodes"]} >= set(labels.values())
+
     def test_full_stability_nodes_use_light_endpoint(self, blob_sweep, tmp_path):
         _, result = blob_sweep
         g = build_graph(result, threshold=0)
