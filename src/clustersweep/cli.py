@@ -112,6 +112,9 @@ class RunConfig:
         unknown = [k for k in self.kinds if k not in KIND_TOKENS]
         if unknown:
             raise ValueError(f"unknown stability kinds: {unknown}")
+        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
+        if repeated:
+            raise ValueError(f"stability kinds given more than once: {repeated}")
 
     @cached_property
     def base(self) -> GmmConfig:
@@ -169,7 +172,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"{path}: invalid config JSON: {exc}")
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
@@ -303,17 +306,14 @@ def cmd_name(config: RunConfig) -> int:
     sample_seed = _archived_fit_settings(config, archive).seed
     texts = _load_texts(config.texts)
 
-    if config.fallback or not config.backend_url:
-        if not config.fallback:
-            raise ValueError("no --backend-url configured; pass --fallback for offline naming")
-        backend = naming.FallbackBackend()
-    else:
-        backend = naming.HttpBackend(
-            url=config.backend_url,
-            model=config.backend_model,
-            response_path=config.response_path,
-            token_env=config.token_env,
-        )
+    if not (config.fallback or config.backend_url):
+        raise ValueError("no --backend-url configured; pass --fallback for offline naming")
+    backend = None if config.fallback else naming.HttpBackend(
+        url=config.backend_url,
+        model=config.backend_model,
+        response_path=config.response_path,
+        token_env=config.token_env,
+    )
 
     stopwords = (
         naming.load_stopwords(config.stopwords) if config.stopwords else naming.DEFAULT_STOPWORDS

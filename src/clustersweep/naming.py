@@ -147,15 +147,6 @@ def fallback_name(profile: ClusterProfile) -> str:
     return " ".join(word for word, _ in profile.top_words[:3])
 
 
-class FallbackBackend:
-    """Deterministic offline naming: join the top three words."""
-
-    kind = "fallback"
-
-    def generate(self, profile: ClusterProfile, prompt: str) -> str:
-        return fallback_name(profile)
-
-
 class HttpBackend:
     """Text-completion client posting {"prompt": ...} to a configurable endpoint.
 
@@ -164,8 +155,6 @@ class HttpBackend:
     environment variable named by ``token_env`` is set, is sent as a Bearer
     header.
     """
-
-    kind = "external"
 
     def __init__(
         self,
@@ -201,8 +190,8 @@ class HttpBackend:
             raise MalformedResponse(f"field {self.response_path!r} is not text")
         return value
 
-    def generate(self, profile: ClusterProfile, prompt: str) -> str:
-        # Imported here: only this backend posts, and offline runs need not load requests.
+    def generate(self, prompt: str) -> str:
+        # Imported here: offline runs need not load requests.
         import requests
 
         payload = {"prompt": prompt}
@@ -236,14 +225,15 @@ def sanitize_name(raw: str) -> str:
 
 def name_clusters(
     profiles: list[ClusterProfile],
-    backend,
+    backend: HttpBackend | None = None,
     fallback_on_error: bool = False,
 ) -> list[NameAssignment]:
     """Name every profile, then disambiguate duplicates within the batch.
 
-    Empty or over-long backend names fall back to the offline rule for that
-    cluster (logged). ``fallback_on_error`` extends the same treatment to an
-    unreachable backend instead of raising.
+    With no backend, each profile gets the offline rule's name. A backend is
+    asked for every name, MAX_IN_FLIGHT at a time; an empty or over-long name
+    falls back to the offline rule for that cluster (logged), and so does an
+    unreachable backend if ``fallback_on_error``, instead of raising.
 
     Raises:
         BackendUnavailable: if the backend stays unreachable and
@@ -256,9 +246,8 @@ def name_clusters(
     def one(profile: ClusterProfile) -> tuple[str, str] | None:
         if unavailable.is_set():
             return None  # the run fails with an earlier cluster's error
-        prompt = build_prompt(profile)
         try:
-            raw = sanitize_name(backend.generate(profile, prompt))
+            raw = sanitize_name(backend.generate(build_prompt(profile)))
         except MalformedResponse as exc:
             reason = f"malformed backend response ({exc})"
         except BackendUnavailable:
@@ -268,16 +257,16 @@ def name_clusters(
             reason = "backend unavailable"
         else:
             if raw and len(raw) <= MAX_NAME_LENGTH:
-                return raw, backend.kind
+                return raw, "external"
             reason = f"unusable backend name ({len(raw)} chars)"
         logger.warning("K=%d cluster %d: %s; using fallback", profile.k, profile.cluster, reason)
         return fallback_name(profile), "fallback"
 
-    if getattr(backend, "kind", None) == "external" and len(profiles) > 1:
+    if backend is None:
+        named = [(fallback_name(p), "fallback") for p in profiles]
+    else:
         with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
             named = list(pool.map(one, profiles))
-    else:
-        named = [one(p) for p in profiles]
 
     # Suffix duplicates sequentially in profile order.
     seen: Counter[str] = Counter()

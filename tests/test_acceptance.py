@@ -18,7 +18,7 @@ from clustersweep.data import Partition, build_contingency, save_embeddings
 from clustersweep.gmm import GmmConfig, fit
 from clustersweep.metrics import ami, expected_mutual_information, proportional_stability
 from clustersweep.naming import (
-    FallbackBackend, ClusterProfile, build_prompt, name_clusters, profile_cluster, tokenize,
+    ClusterProfile, build_prompt, name_clusters, profile_cluster, tokenize,
 )
 from clustersweep.pipeline import run_sweep
 from clustersweep.sankey import build_graph, export_html, export_json
@@ -336,8 +336,8 @@ def test_criterion_10_naming_pipeline_offline(nested_blobs):
                 profile_cluster(texts, tokens, partition, k, c, seed=0)
                 for c in range(k) if sizes[c] > 0
             ]
-            first = name_clusters(profiles, FallbackBackend())
-            second = name_clusters(profiles, FallbackBackend())
+            first = name_clusters(profiles)
+            second = name_clusters(profiles)
             assert first == second  # deterministic
             unique_names = [a.unique_name for a in first]
             assert len(set(unique_names)) == len(unique_names)  # unique per resolution
@@ -362,9 +362,7 @@ def test_criterion_10_naming_pipeline_offline(nested_blobs):
         assert build_prompt(golden_profile) == golden
 
         class DuplicatingStub:
-            kind = "external"
-
-            def generate(self, profile, prompt):
+            def generate(self, prompt):
                 return "Patriots"
 
         profiles = [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -140,6 +141,13 @@ class TestConfigResolution:
         assert main(["sweep", "--config", str(tmp_path / "run.json")]) == 1
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
+
+    def test_non_utf8_config_exits_1_naming_it(self, tmp_path, capsys):
+        # UTF-16 with its byte-order mark, as Windows Notepad's "Unicode" writes it.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe" + '{"k_max": 3}'.encode("utf-16-le"))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 # Each subcommand's flags: only those it reads; --help is argparse's own.
@@ -372,6 +380,30 @@ class TestStabilityCommand:
         assert main(["stability", "--out", str(out), "--config", str(tmp_path / "run.json")]) == 1
         assert "kinds is empty" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("given, repeated", [
+        (["--kinds", "seeds", "seeds"], "seeds"),
+        ({"kinds": ["rows", "rows"]}, "rows"),
+    ], ids=["flag", "config"])
+    def test_repeated_kind_exits_1_naming_it_before_any_refit(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, given, repeated
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        assert main(["stability", "--out", str(out), "--k-max", "5", "--kinds", "rows", "seeds",
+                     "--reps", "2", "--seed-lo", "1", "--seed-hi", "2"]) == 0
+        before = {p.name: p.read_bytes() for p in out.glob("stability_*")}
+        if isinstance(given, dict):
+            (tmp_path / "run.json").write_text(json.dumps(given), encoding="utf-8")
+            given = ["--config", str(tmp_path / "run.json")]
+        fits, reads = [], []
+        monkeypatch.setattr("clustersweep.gmm.fit", lambda *a, **kw: fits.append(a[1].k))
+        monkeypatch.setattr("clustersweep.pipeline.read_archive", reads.append)
+        capsys.readouterr()
+        assert main(["stability", "--out", str(out), "--k-max", "5", *given]) == 1
+        assert f"given more than once: ['{repeated}']" in capsys.readouterr().err
+        assert fits == [] and reads == []
+        assert {p.name: p.read_bytes() for p in out.glob("stability_*")} == before
 
     def test_run_whose_second_kind_fails_leaves_no_combined_csv(
         self, fixture_dir, tmp_path, monkeypatch
@@ -723,6 +755,17 @@ class TestNameCommand:
         first = (out / "names.csv").read_bytes()
         main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"), "--fallback"])
         assert (out / "names.csv").read_bytes() == first
+
+    def test_fallback_logs_no_fallback_warning(self, fixture_dir, tmp_path, caplog):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        ids = read_archive(out).partitions[1].ids
+        texts = tmp_path / "stopwords-only.csv"
+        texts.write_text("id,text\n" + "".join(f"{i},the and\n" for i in ids), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="clustersweep.naming"):
+            assert main(["name", "--out", str(out), "--texts", str(texts), "--fallback"]) == 0
+        assert not [r for r in caplog.records
+                    if r.name == "clustersweep.naming" and "using fallback" in r.getMessage()]
 
     def test_covers_every_occupied_cluster(self, fixture_dir, tmp_path):
         out = tmp_path / "run"

@@ -14,7 +14,6 @@ from clustersweep.naming import (
     SAMPLE_TEXTS,
     TOP_WORDS,
     ClusterProfile,
-    FallbackBackend,
     HttpBackend,
     build_prompt,
     load_emoji_map,
@@ -76,13 +75,11 @@ def corpora(draw):
 
 
 class StubBackend:
-    kind = "external"
-
     def __init__(self, names):
         self.names = list(names)
         self.prompts = []
 
-    def generate(self, profile, prompt):
+    def generate(self, prompt):
         self.prompts.append(prompt)
         return self.names.pop(0)
 
@@ -198,7 +195,7 @@ class TestBuildPrompt:
 class TestNameClusters:
     def test_fallback_rule(self):
         p = profile(words=(("maga", 5), ("patriot", 4), ("usa", 3), ("flag", 2)))
-        out = name_clusters([p], FallbackBackend())
+        out = name_clusters([p])
         assert out[0].raw_name == "maga patriot usa"
         assert out[0].unique_name == "maga patriot usa"
         assert out[0].backend == "fallback"
@@ -237,15 +234,13 @@ class TestNameClusters:
 
     def test_fallback_deterministic(self):
         profiles = [profile(cluster=c, words=(("w" + str(c), 1),)) for c in range(4)]
-        a = name_clusters(profiles, FallbackBackend())
-        b = name_clusters(profiles, FallbackBackend())
+        a = name_clusters(profiles)
+        b = name_clusters(profiles)
         assert a == b
 
     def test_backend_unavailable_propagates(self):
         class DeadBackend:
-            kind = "external"
-
-            def generate(self, profile, prompt):
+            def generate(self, prompt):
                 raise BackendUnavailable("down")
 
         with pytest.raises(BackendUnavailable):
@@ -277,7 +272,7 @@ class TestHttpBackend:
         monkeypatch.setattr("requests.post", fake_post)
         backend = HttpBackend("https://svc.example/name", model="m1",
                               response_path="choices.0.text")
-        raw = backend.generate(profile(), "PROMPT")
+        raw = backend.generate("PROMPT")
         assert raw == "  Political Bios  "
         assert captured["url"] == "https://svc.example/name"
         assert captured["payload"] == {"prompt": "PROMPT", "model": "m1"}
@@ -300,7 +295,7 @@ class TestHttpBackend:
                 FakeResponse(),
             )[1],
         )
-        HttpBackend("https://svc.example").generate(profile(), "p")
+        HttpBackend("https://svc.example").generate("p")
         assert captured["headers"]["Authorization"] == "Bearer sekret"
 
     def test_retries_then_unavailable(self, monkeypatch):
@@ -317,7 +312,7 @@ class TestHttpBackend:
         monkeypatch.setattr("clustersweep.naming.time.sleep", sleeps.append)
         backend = HttpBackend("https://svc.example")
         with pytest.raises(BackendUnavailable):
-            backend.generate(profile(), "p")
+            backend.generate("p")
         assert calls["n"] == 3
         assert sleeps == [1.0, 2.0]
 
@@ -333,7 +328,7 @@ class TestHttpBackend:
             lambda *a, **kw: FakeResponse(),
         )
         with pytest.raises(MalformedResponse):
-            HttpBackend("https://svc.example", response_path="name").generate(profile(), "p")
+            HttpBackend("https://svc.example", response_path="name").generate("p")
 
 
 class TestHttpBackendOnLoopback:
@@ -347,21 +342,21 @@ class TestHttpBackendOnLoopback:
 
     def test_server_error_then_success(self, http_stub, sleeps):
         http_stub.replies = [(503, b"busy"), (200, b'{"name": "Patriots"}')]
-        assert HttpBackend(http_stub.url, model="m1").generate(profile(), "P") == "Patriots"
+        assert HttpBackend(http_stub.url, model="m1").generate("P") == "Patriots"
         assert http_stub.posts == [{"prompt": "P", "model": "m1"}] * 2
         assert sleeps == [1.0]
 
     def test_client_error_is_not_retried(self, http_stub, sleeps):
         http_stub.replies = [(404, b"{}")]
         with pytest.raises(BackendUnavailable, match="status 404"):
-            HttpBackend(http_stub.url).generate(profile(), "P")
+            HttpBackend(http_stub.url).generate("P")
         assert len(http_stub.posts) == 1 and sleeps == []
 
     def test_timeout_is_retried(self, http_stub, sleeps, monkeypatch):
         monkeypatch.setattr("clustersweep.naming.TIMEOUT_S", 0.2)
         http_stub.replies = [(None, b"")]
         with pytest.raises(BackendUnavailable, match="after 3 attempts"):
-            HttpBackend(http_stub.url).generate(profile(), "P")
+            HttpBackend(http_stub.url).generate("P")
         assert sleeps == [1.0, 2.0]
         # The server may still be reading the last request when the client gives up.
         deadline = time.monotonic() + 10
@@ -372,14 +367,14 @@ class TestHttpBackendOnLoopback:
     def test_non_json_body_is_retried(self, http_stub, sleeps):
         http_stub.replies = [(200, b"<html>name</html>")]
         with pytest.raises(BackendUnavailable, match="after 3 attempts"):
-            HttpBackend(http_stub.url).generate(profile(), "P")
+            HttpBackend(http_stub.url).generate("P")
         assert len(http_stub.posts) == 3 and sleeps == [1.0, 2.0]
 
     def test_wrong_response_path_is_malformed_at_once(self, http_stub, sleeps):
         http_stub.replies = [(200, b'{"name": "Patriots"}')]
         backend = HttpBackend(http_stub.url, response_path="choices.0.text")
         with pytest.raises(MalformedResponse, match="choices.0.text"):
-            backend.generate(profile(), "P")
+            backend.generate("P")
         assert len(http_stub.posts) == 1 and sleeps == []
         out = name_clusters([profile(cluster=0), profile(cluster=1)], backend)
         assert [(a.raw_name, a.backend) for a in out] == [("maga patriot", "fallback")] * 2
