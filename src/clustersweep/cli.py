@@ -191,7 +191,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _archived_fit_settings(config: RunConfig, archive: pipeline.SweepResult) -> GmmConfig:
+def _archived_fit_settings(config: RunConfig, archive: pipeline.Archive) -> GmmConfig:
     """The sweep's fit settings; a config-file value that differs is an error."""
     for name in FIT_SETTINGS:
         archived = getattr(archive.base, name)
@@ -214,15 +214,11 @@ def cmd_sweep(config: RunConfig) -> int:
 
     print(f"{'K':>3} {'occupied':>8} {'iters':>6} {'conv':>5} "
           f"{'log_likelihood':>16} {'ami_prev':>9} {'stab_prev':>9}")
-    for k in range(config.k_min, config.k_max + 1):
+    for k, comp in zip(range(config.k_min, config.k_max + 1), (None, *result.consecutive)):
         model = result.models[k]
         occupied = result.partitions[k].occupied_clusters()
-        if k == config.k_min:
-            ami_s = stab_s = "-"
-        else:
-            comp = result.comparison_at(k)
-            ami_s = f"{comp.ami.ami:.4f}"
-            stab_s = f"{comp.stability.average:.4f}"
+        ami_s = "-" if comp is None else f"{comp.ami.ami:.4f}"
+        stab_s = "-" if comp is None else f"{comp.stability.average:.4f}"
         print(f"{k:>3} {occupied:>8} {model.n_iter:>6} {str(model.converged):>5} "
               f"{model.final_log_likelihood:>16.4f} {ami_s:>9} {stab_s:>9}")
     print(f"archive written to {config.out}", file=sys.stderr)

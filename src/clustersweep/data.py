@@ -16,13 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyIntersection,
-    MismatchedItems,
-    NonFiniteValue,
-    ParseError,
-)
+from .errors import ClusterSweepError, DimensionMismatch, NonFiniteValue, ParseError
 
 BINARY_MAGIC = b"CSEM"
 BINARY_VERSION = 1
@@ -141,11 +135,11 @@ def build_contingency(a: Partition, b: Partition) -> ContingencyTable:
     is realigned to ``a`` by id.
 
     Raises:
-        MismatchedItems: if the id sets differ.
+        ClusterSweepError: if the id sets differ.
     """
     if a.ids != b.ids:
         if set(a.ids) != set(b.ids):
-            raise MismatchedItems("partitions cover different id sets")
+            raise ClusterSweepError("partitions cover different id sets")
         pos = {item: i for i, item in enumerate(b.ids)}
         b_labels = b.labels[[pos[item] for item in a.ids]]
     else:
@@ -160,12 +154,12 @@ def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partiti
     Labels keep their original values; only the item sets shrink.
 
     Raises:
-        EmptyIntersection: if no ids are shared.
+        ClusterSweepError: if no ids are shared.
     """
     b_pos = {item: i for i, item in enumerate(b.ids)}
     a_idx = [i for i, item in enumerate(a.ids) if item in b_pos]
     if not a_idx:
-        raise EmptyIntersection("partitions share no ids")
+        raise ClusterSweepError("partitions share no ids")
     shared_ids = tuple(a.ids[i] for i in a_idx)
     b_idx = [b_pos[item] for item in shared_ids]
     a_out = Partition(len(a_idx), a.k_declared, a.labels[a_idx], shared_ids)
@@ -374,8 +368,10 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
             raise ParseError(f"{path}: malformed partition row: {line!r}")
         try:
             label = int(label_text)
+            if label_text != str(label):  # int() also takes " 3", "+3", "1_0" and "٣"
+                raise ValueError
         except ValueError:
-            raise ParseError(f"{path}: bad label in row: {line!r}")
+            raise ParseError(f"{path}: row {len(ids)}: bad label {label_text!r}") from None
         if not 0 <= label < k_declared:
             raise ParseError(f"{path}: row {len(ids)}: label {label} is not in [0, {k_declared})")
         ids.append(row_id)

@@ -5,14 +5,6 @@ class ClusterSweepError(Exception):
     """Base class for all package errors."""
 
 
-class MismatchedItems(ClusterSweepError):
-    """Two partitions do not cover the same set of item ids."""
-
-
-class EmptyIntersection(ClusterSweepError):
-    """Two partitions share no item ids."""
-
-
 class ParseError(ClusterSweepError):
     """An input file could not be parsed."""
 
@@ -40,18 +32,6 @@ class InsufficientData(ClusterSweepError):
 
 class NumericFailure(ClusterSweepError):
     """A fit produced a non-finite log-likelihood."""
-
-
-class OutOfRange(ClusterSweepError):
-    """A requested resolution lies outside the sweep range."""
-
-
-class InsufficientResolutions(ClusterSweepError):
-    """A transition graph needs at least two resolutions."""
-
-
-class EmptyCluster(ClusterSweepError):
-    """A cluster profile was requested for a cluster with no members."""
 
 
 class BackendUnavailable(ClusterSweepError):

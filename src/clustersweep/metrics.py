@@ -204,7 +204,7 @@ def ami(a: Partition, b: Partition) -> AmiReport:
     they are identical up to relabeling; 0.0 when exactly one is trivial.
 
     Raises:
-        MismatchedItems: if the partitions cover different id sets.
+        ClusterSweepError: if the partitions cover different id sets.
     """
     return ami_from_table(build_contingency(a, b))
 
@@ -218,7 +218,7 @@ def proportional_stability(current: Partition, previous: Partition) -> Stability
     report the lowest-index parent. Not symmetric in its arguments.
 
     Raises:
-        MismatchedItems: if the partitions cover different id sets.
+        ClusterSweepError: if the partitions cover different id sets.
     """
     return stability_from_table(build_contingency(current, previous))
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Partition
-from .errors import BackendUnavailable, EmptyCluster, MalformedResponse, ParseError
+from .errors import BackendUnavailable, ClusterSweepError, MalformedResponse, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -110,11 +110,11 @@ def profile_cluster(
     seed mixes (seed, k, cluster) so different clusters draw independently.
 
     Raises:
-        EmptyCluster: if the cluster has no members.
+        ClusterSweepError: if the cluster has no members.
     """
     members = [membership.ids[i] for i in membership.members(cluster)]
     if not members:
-        raise EmptyCluster(f"cluster {cluster} at K={k} has no members")
+        raise ClusterSweepError(f"cluster {cluster} at K={k} has no members")
 
     counts = Counter(chain.from_iterable(tokens[i] for i in members))
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_WORDS]

@@ -13,14 +13,13 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, _load_binary, build_contingency, load_partition
 from .data import save_embeddings, save_partition
-from .errors import ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError
+from .errors import ClusterSweepError, MissingArchive, NumericFailure, ParseError
 from .gmm import GmmConfig, MixtureModel
 from .metrics import AmiReport, StabilityBreakdown, ami_from_table, stability_from_table
 
@@ -36,36 +35,22 @@ class ConsecutiveComparison:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """Partitions, models, fit settings (at k_min) and input of a sweep."""
+class Archive:
+    """What the stages after a sweep read: its partitions, fit settings (at k_min) and input."""
 
     k_min: int
     k_max: int
     partitions: dict[int, Partition]
-    models: dict[int, MixtureModel]
     base: GmmConfig
     data: EmbeddingMatrix
 
-    @cached_property
-    def consecutive(self) -> tuple[ConsecutiveComparison, ...]:
-        """AMI and proportional stability of every K against K - 1, computed on first use."""
-        out = []
-        for k in range(self.k_min + 1, self.k_max + 1):
-            table = build_contingency(self.partitions[k], self.partitions[k - 1])
-            out.append(
-                ConsecutiveComparison(
-                    k_current=k,
-                    k_previous=k - 1,
-                    ami=ami_from_table(table),
-                    stability=stability_from_table(table),
-                )
-            )
-        return tuple(out)
 
-    def comparison_at(self, k_current: int) -> ConsecutiveComparison:
-        if not (self.k_min < k_current <= self.k_max):
-            raise OutOfRange(f"no comparison at K={k_current}")
-        return self.consecutive[k_current - self.k_min - 1]
+@dataclass(frozen=True)
+class SweepResult(Archive):
+    """An Archive plus the sweep's models and the AMI and stability of every K against K - 1."""
+
+    models: dict[int, MixtureModel]
+    consecutive: tuple[ConsecutiveComparison, ...]
 
 
 def run_sweep(
@@ -91,13 +76,17 @@ def run_sweep(
 
     ks = range(k_min, k_max + 1)
     fitted = _fit_each_k(data, base, ks, jobs)
+    tables = {k: build_contingency(fitted[k][1], fitted[k - 1][1]) for k in ks[1:]}
     return SweepResult(
         k_min=k_min,
         k_max=k_max,
         partitions={k: fitted[k][1] for k in ks},
-        models={k: fitted[k][0] for k in ks},
         base=replace(base, k=k_min),
         data=data,
+        models={k: fitted[k][0] for k in ks},
+        consecutive=tuple(ConsecutiveComparison(k, k - 1, ami_from_table(table),
+                                                stability_from_table(table))
+                          for k, table in tables.items()),
     )
 
 
@@ -158,8 +147,8 @@ def write_archive(result: SweepResult, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-def read_archive(path: str | Path) -> SweepResult:
-    """Load a sweep archive back; consecutive metrics are recomputed exactly on first use.
+def read_archive(path: str | Path) -> Archive:
+    """Load a sweep archive back: its partitions, fit settings and input.
 
     The K range is the archive's own. Every K needs a model_K.json; their fit
     settings must agree. input.bin must hold partition_<k_min>.csv's ids, in
@@ -177,10 +166,11 @@ def read_archive(path: str | Path) -> SweepResult:
     for k in ks[1:]:
         if set(partitions[k].ids) != set(ids):
             raise ParseError(f"{root}: partition_{k}.csv covers a different id set")
-    models, bases = {}, set()
+    bases, dims = set(), {}
     for k in ks:
-        models[k], config = gmm.load_model(root / f"model_{k}.json")
+        model, config = gmm.load_model(root / f"model_{k}.json")
         bases.add(replace(config, k=ks[0]))
+        dims[k] = model.d
     if len(bases) > 1:
         raise ParseError(f"{root}: model files disagree on the fit settings")
     if not (root / "input.bin").exists():
@@ -188,15 +178,13 @@ def read_archive(path: str | Path) -> SweepResult:
     data = _load_binary(root / "input.bin")
     if data.ids != ids:
         raise ParseError(f"{root / 'input.bin'}: ids differ from partition_{ks[0]}.csv's")
-    for k in ks:
-        if models[k].means.shape[1] != data.d:
-            raise ParseError(f"{root / 'input.bin'}: d={data.d} where model_{k}.json "
-                             f"has d={models[k].means.shape[1]}")
-    return SweepResult(
+    for k, d in dims.items():
+        if d != data.d:
+            raise ParseError(f"{root / 'input.bin'}: d={data.d} where model_{k}.json has d={d}")
+    return Archive(
         k_min=ks[0],
         k_max=ks[-1],
         partitions=partitions,
-        models=models,
         base=bases.pop(),
         data=data,
     )

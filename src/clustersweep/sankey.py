@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import ContingencyTable, build_contingency
-from .errors import InsufficientResolutions
+from .errors import ClusterSweepError
 from .metrics import stability_from_table
-from .pipeline import SweepResult
+from .pipeline import Archive
 
 # Stability color ramp endpoints (dark blue -> light yellow).
 RAMP_DARK = (0, 32, 76)
@@ -36,7 +36,7 @@ NODE_PAD = 8
 
 
 def build_graph(
-    result: SweepResult,
+    result: Archive,
     names: dict[tuple[int, int], str] | None = None,
     threshold: int = 150,
 ) -> dict:
@@ -51,10 +51,10 @@ def build_graph(
     descending size and cluster index within each resolution.
 
     Raises:
-        InsufficientResolutions: if the sweep spans fewer than 2 resolutions.
+        ClusterSweepError: if the sweep spans fewer than 2 resolutions.
     """
     if result.k_max - result.k_min < 1:
-        raise InsufficientResolutions("a transition graph needs at least two resolutions")
+        raise ClusterSweepError("a transition graph needs at least two resolutions")
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     names = names or {}

@@ -20,7 +20,7 @@ import numpy as np
 from . import gmm
 from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions
 from .metrics import ami
-from .pipeline import SweepResult, _fit_each_k
+from .pipeline import Archive, _fit_each_k
 
 # Each kind and the token that names it on the command line and in its file names.
 KINDS = {"dimension_subsample": "dimensions", "row_subsample": "rows", "seed_variation": "seeds"}
@@ -69,7 +69,7 @@ class StabilityCurve:
 
 def _run(
     kind: str,
-    sweep: SweepResult,
+    sweep: Archive,
     spec: PerturbationSpec,
     jobs: int,
     reps: Iterable[int],
@@ -105,7 +105,7 @@ def _subsample(r: int, n: int, size: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _draw_size(spec: PerturbationSpec, sweep: SweepResult) -> int:
+def _draw_size(spec: PerturbationSpec, sweep: Archive) -> int:
     """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError."""
     data = sweep.data
     size = int(spec.fraction * (data.d if spec.kind == "dimension_subsample" else data.n))
@@ -117,7 +117,7 @@ def _draw_size(spec: PerturbationSpec, sweep: SweepResult) -> int:
 
 
 def dimension_stability(
-    sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1
+    sweep: Archive, spec: PerturbationSpec, jobs: int = 1
 ) -> StabilityCurve:
     """AMI of fits on random dimension subsets against the sweep's full-dimension fits.
 
@@ -132,7 +132,7 @@ def dimension_stability(
     )
 
 
-def row_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
+def row_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits on random row subsets against the sweep's full-data fits.
 
     The subsample partition is compared with the sweep's partition restricted
@@ -146,7 +146,7 @@ def row_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> 
     )
 
 
-def seed_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
+def seed_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits under alternative seeds against the sweep's base-seed fits."""
     return _run(
         "seed_variation", sweep, spec, jobs, spec.seeds(),
@@ -154,7 +154,7 @@ def seed_stability(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) ->
     )
 
 
-def run_protocol(sweep: SweepResult, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
+def run_protocol(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """Dispatch to the protocol named by ``spec.kind``."""
     fn = {
         "dimension_subsample": dimension_stability,

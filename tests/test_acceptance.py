@@ -232,7 +232,7 @@ def test_criterion_05_multi_level_stability(nested_blobs):
         data, _ = nested_blobs
         result = run_sweep(data, GmmConfig(k=1), 1, 4)
         # Forced by the definition: a sole previous cluster is every child's parent.
-        assert result.comparison_at(2).stability.average == 1.0
+        assert result.consecutive[0].stability.average == 1.0
         for comparison in result.consecutive:
             assert comparison.stability.average >= 0.9, (
                 f"K={comparison.k_current}: {comparison.stability.average}"

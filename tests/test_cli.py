@@ -268,6 +268,13 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split()[:2] == ["K", "occupied"]
         assert len(lines) == 6
+        rows = [line.split() for line in lines[1:]]
+        assert rows[0][0] == "1" and rows[0][-2:] == ["-", "-"]
+        doc = json.loads((tmp_path / "run" / "consecutive_metrics.json").read_text())
+        assert [[row[0], *row[-2:]] for row in rows[1:]] == [
+            [str(c["k_current"]), f"{c['ami']['ami']:.4f}", f"{c['stability']['average']:.4f}"]
+            for c in doc
+        ]
 
     def test_numeric_failure_exits_3(self, fixture_dir, tmp_path, monkeypatch):
         import clustersweep.pipeline as pipeline_module
@@ -657,6 +664,19 @@ class TestSankeyCommand:
         doc = json.loads((out / "graph.json").read_text())
         assert any(n["label"] != n["id"] for n in doc["nodes"])
 
+    def test_sankey_and_name_compute_no_ami(self, fixture_dir, tmp_path, monkeypatch):
+        def no_ami(table):
+            raise AssertionError("AMI computed after the sweep")
+
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        monkeypatch.setattr("clustersweep.metrics.ami_from_table", no_ami)
+        monkeypatch.setattr("clustersweep.pipeline.ami_from_table", no_ami)
+        assert main(["sankey", "--out", str(out)]) == 0
+        assert main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                     "--fallback"]) == 0
+        with pytest.raises(AssertionError, match="AMI computed"):  # the patch takes effect
+            run_sweep_once(fixture_dir, tmp_path / "again")
 
     def test_corrupt_model_file_exits_2(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -18,13 +18,7 @@ from clustersweep.data import (
     save_embeddings,
     save_partition,
 )
-from clustersweep.errors import (
-    DimensionMismatch,
-    EmptyIntersection,
-    MismatchedItems,
-    NonFiniteValue,
-    ParseError,
-)
+from clustersweep.errors import ClusterSweepError, DimensionMismatch, NonFiniteValue, ParseError
 from clustersweep.gmm import MixtureModel
 from clustersweep.stability import StabilityCurve
 
@@ -114,7 +108,7 @@ class TestBuildContingency:
     def test_mismatched_ids(self):
         a = make_partition([0, 1], ids=("a", "b"))
         b = make_partition([0, 1], ids=("a", "c"))
-        with pytest.raises(MismatchedItems):
+        with pytest.raises(ClusterSweepError, match="partitions cover different id sets"):
             build_contingency(a, b)
 
     def test_marginals_consistent(self):
@@ -145,7 +139,7 @@ class TestIntersectPartitions:
     def test_disjoint_ids(self):
         a = make_partition([0, 1], ids=("a", "b"))
         b = make_partition([0, 1], ids=("c", "d"))
-        with pytest.raises(EmptyIntersection):
+        with pytest.raises(ClusterSweepError, match="partitions share no ids"):
             intersect_partitions(a, b)
 
 
@@ -394,6 +388,19 @@ class TestPartitionIO:
         with pytest.raises(ParseError, match=re.escape(f"{path}: row 1: label {label} is not in "
                                                        "[0, 3)")):
             load_partition(path, k_declared=3)
+
+    # Spellings int() reads as a label in [0, 11) but save_partition never writes.
+    @pytest.mark.parametrize("label", ["1_0", " 3", "+2", "٣", "02", "-0"])
+    def test_label_not_written_by_save_partition_names_the_file_and_the_row(self, tmp_path, label):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,label\na,0\nb,{label}\nc,2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: row 1: bad label {label!r}")):
+            load_partition(path, k_declared=11)
+
+    def test_crlf_line_endings_read_as_lf(self, tmp_path):
+        (tmp_path / "p.csv").write_bytes(b"id,label\r\na,0\r\nb,2\r\n")
+        back = load_partition(tmp_path / "p.csv", k_declared=3)
+        assert back.ids == ("a", "b") and back.labels.tolist() == [0, 2]
 
     def test_file_format(self, tmp_path):
         part = make_partition([0, 1], ids=("a", "b"))

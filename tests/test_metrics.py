@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from clustersweep.data import ContingencyTable, build_contingency
-from clustersweep.errors import MismatchedItems
+from clustersweep.errors import ClusterSweepError
 from clustersweep.metrics import (
     _log_factorials,
     _log_gamma,
@@ -271,7 +271,7 @@ class TestAmi:
     def test_mismatched_items(self):
         a = make_partition([0, 1], ids=("a", "b"))
         b = make_partition([0, 1], ids=("a", "c"))
-        with pytest.raises(MismatchedItems):
+        with pytest.raises(ClusterSweepError, match="partitions cover different id sets"):
             ami(a, b)
 
     def test_json_field_names(self):

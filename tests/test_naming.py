@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersweep.errors import BackendUnavailable, EmptyCluster, MalformedResponse, ParseError
+from clustersweep.errors import (
+    BackendUnavailable, ClusterSweepError, MalformedResponse, ParseError,
+)
 from clustersweep.naming import (
     DEFAULT_STOPWORDS,
     SAMPLE_TEXTS,
@@ -130,7 +132,7 @@ class TestProfileCluster:
 
     def test_empty_cluster(self):
         membership = make_partition([0, 0], k=2)
-        with pytest.raises(EmptyCluster):
+        with pytest.raises(ClusterSweepError, match="cluster 1 at K=2 has no members"):
             profile_cluster(*keyed(["a", "b"]), membership, 2, 1, seed=0)
 
     @settings(max_examples=200, deadline=None)

@@ -5,12 +5,10 @@ import pytest
 
 import clustersweep.gmm
 from clustersweep.data import ContingencyTable, build_contingency
-from clustersweep.errors import (
-    ClusterSweepError, MissingArchive, NumericFailure, OutOfRange, ParseError,
-)
-from clustersweep.gmm import GmmConfig
+from clustersweep.errors import ClusterSweepError, MissingArchive, NumericFailure, ParseError
+from clustersweep.gmm import GmmConfig, load_model
 from clustersweep.metrics import ami, stability_from_table
-from clustersweep.pipeline import read_archive, run_sweep, write_archive
+from clustersweep.pipeline import Archive, read_archive, run_sweep, write_archive
 
 from conftest import axis_centers, make_blobs, make_matrix, make_partition
 
@@ -30,7 +28,8 @@ class TestRunSweep:
 
     def test_k1_to_k2_stability_is_one(self, three_blob_sweep):
         _, _, result = three_blob_sweep
-        assert result.comparison_at(2).stability.average == 1.0
+        assert result.consecutive[0].k_current == 2
+        assert result.consecutive[0].stability.average == 1.0
 
     def test_recovers_generating_labels(self, three_blob_sweep):
         data, truth, result = three_blob_sweep
@@ -108,19 +107,13 @@ class TestTransitionCounts:
         assert rows_with_two_children == 1
         assert rows_with_one_child == 2
 
-    def test_out_of_range(self, three_blob_sweep):
-        _, _, result = three_blob_sweep
-        for k_current in (1, 5):
-            with pytest.raises(OutOfRange):
-                result.comparison_at(k_current)
-
     def test_stored_stability_matches_recompute(self, three_blob_sweep):
         _, _, result = three_blob_sweep
         for k in range(1, 4):
             table = build_contingency(result.partitions[k], result.partitions[k + 1])
             reversed_table = ContingencyTable(table.counts.T)
             recomputed = stability_from_table(reversed_table)
-            assert recomputed == result.comparison_at(k + 1).stability
+            assert recomputed == result.consecutive[k - 1].stability
 
 
 class TestArchive:
@@ -132,8 +125,9 @@ class TestArchive:
         for k in range(1, 5):
             assert np.array_equal(back.partitions[k].labels, result.partitions[k].labels)
             assert back.partitions[k].ids == result.partitions[k].ids
-            assert np.array_equal(back.models[k].means, result.models[k].means)
-        assert back.consecutive == result.consecutive
+            model, _ = load_model(tmp_path / "arch" / f"model_{k}.json")
+            assert np.array_equal(model.means, result.models[k].means)
+        assert type(back) is Archive
         assert back.base == result.base == GmmConfig(k=1)
         assert back.data.ids == data.ids
         assert back.data.values.tobytes() == data.values.tobytes()

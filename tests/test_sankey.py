@@ -7,7 +7,7 @@ import pytest
 import clustersweep.metrics
 import clustersweep.sankey
 from clustersweep.data import build_contingency
-from clustersweep.errors import InsufficientResolutions
+from clustersweep.errors import ClusterSweepError
 from clustersweep.gmm import GmmConfig
 from clustersweep.metrics import proportional_stability
 from clustersweep.pipeline import run_sweep
@@ -123,10 +123,8 @@ class TestBuildGraph:
             if node["k"] == result.k_min:
                 assert node["stability"] == 1.0
             else:
-                per_cluster = {
-                    cs.cluster: cs.ratio
-                    for cs in result.comparison_at(node["k"]).stability.per_cluster
-                }
+                comparison = result.consecutive[node["k"] - result.k_min - 1]
+                per_cluster = {cs.cluster: cs.ratio for cs in comparison.stability.per_cluster}
                 assert node["stability"] == per_cluster[node["cluster"]]
 
     def test_node_count_and_order(self, blob_sweep):
@@ -148,7 +146,7 @@ class TestBuildGraph:
     def test_needs_two_resolutions(self):
         data, _ = make_blobs([[0.0, 0.0]], n_per=20, sigma=1.0, seed=5)
         result = run_sweep(data, GmmConfig(k=1), 1, 1)
-        with pytest.raises(InsufficientResolutions):
+        with pytest.raises(ClusterSweepError, match="needs at least two resolutions"):
             build_graph(result, threshold=0)
 
 
