@@ -13,7 +13,6 @@ Exit codes: 1 config error, 2 IO error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import naming, pipeline, sankey, stability
-from .data import load_embeddings
+from .data import json_fits, load_embeddings, read_csv_rows, read_text, scalar_type, write_text
 from .errors import (
     BackendUnavailable,
     ClusterSweepError,
@@ -47,10 +46,6 @@ EXIT_CODES = (
     ((OSError, ClusterSweepError), 2),
 )
 
-# Flag types by annotation; a config-file value needs the same type (an int passes as a float).
-_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
-
-
 def _setting(default, help: str, *commands: str, flag: str | None = None):
     """A RunConfig field with its flag's help and the subcommands offering it (all if none).
 
@@ -58,11 +53,6 @@ def _setting(default, help: str, *commands: str, flag: str | None = None):
     """
     kw = {"default_factory" if callable(default) else "default": default}
     return field(**kw, metadata={"help": help, "commands": commands or COMMANDS, "flag": flag})
-
-
-def _scalar(annotation: str) -> type:
-    """The flag type of a RunConfig annotation: its item type for a list, None dropped."""
-    return _SCALARS[annotation.removesuffix(" | None").removeprefix("list[").removesuffix("]")]
 
 
 @dataclass
@@ -129,17 +119,6 @@ class RunConfig:
         return [PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value has the type of a RunConfig annotation."""
-    if annotation.startswith("list["):
-        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
-    if value is None:
-        return annotation.endswith(" | None")
-    want = _scalar(annotation)
-    json_types = (int, float) if want is float else want
-    return isinstance(value, bool) == (want is bool) and isinstance(value, json_types)
-
-
 def parse_threshold(text: str, n: int) -> int:
     """A nonnegative count ("150"), or a percentage ("0.5%", <= 100) or fraction ("0.005") of n."""
     s = str(text).strip()
@@ -169,10 +148,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8-sig"))
+            doc = json.loads(read_text(path))
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except ParseError as exc:  # not UTF-8 text: a config error, as bad JSON is
+            raise ValueError(exc) from None
+        except ValueError as exc:
             raise ValueError(f"{path}: invalid config JSON: {exc}")
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(doc).__name__}")
@@ -180,7 +161,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
-            if not _fits(value, types[key]):
+            if not json_fits(value, types[key]):
                 raise ValueError(f"{path}: config key {key!r} must be {types[key]}, got {value!r}")
         given.update(doc)
     given.update({n: getattr(args, n) for n in types if getattr(args, n, None) is not None})
@@ -209,8 +190,7 @@ def cmd_sweep(config: RunConfig) -> int:
     data = load_embeddings(config.input, config.format)
     result = pipeline.run_sweep(data, config.base, config.k_min, config.k_max, jobs=config.jobs)
     pipeline.write_archive(result, config.out)
-    Path(config.out, "config.json").write_text(json.dumps(asdict(config), indent=2) + "\n",
-                                               encoding="utf-8", newline="\n")
+    write_text(Path(config.out, "config.json"), json.dumps(asdict(config), indent=2) + "\n")
 
     print(f"{'K':>3} {'occupied':>8} {'iters':>6} {'conv':>5} "
           f"{'log_likelihood':>16} {'ami_prev':>9} {'stab_prev':>9}")
@@ -275,35 +255,30 @@ def cmd_sankey(config: RunConfig) -> int:
 def _load_texts(path: str | Path) -> dict[str, str]:
     """The id -> text map of an 'id,text' CSV, in which no id repeats."""
     texts, rows = {}, {}
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header[:2]] != ["id", "text"]:
-                raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
-            for r, row in enumerate(reader):
-                if len(row) != 2:
-                    raise ParseError(f"{path}: row {r} is not an id,text pair (fields: "
-                                     f"{len(row)}); a text that holds a comma needs quotes")
-                if row[0] in texts:
-                    raise ParseError(f"{path}: id {row[0]!r} repeats in rows {rows[row[0]]} and {r}")
-                texts[row[0]], rows[row[0]] = row[1], r
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    header, *body = read_csv_rows(path) or [[]]
+    if [h.strip().lower() for h in header[:2]] != ["id", "text"]:
+        raise ParseError(f"{path}: texts file must be a CSV with an 'id,text' header")
+    for r, row in enumerate(body):
+        if len(row) != 2:
+            raise ParseError(f"{path}: row {r} is not an id,text pair (fields: "
+                             f"{len(row)}); a text that holds a comma needs quotes")
+        if row[0] in texts:
+            raise ParseError(f"{path}: id {row[0]!r} repeats in rows {rows[row[0]]} and {r}")
+        texts[row[0]], rows[row[0]] = row[1], r
     return texts
 
 
 def cmd_name(config: RunConfig) -> int:
     """Name every occupied cluster of the archive."""
-    out = Path(config.out)
-    archive = pipeline.read_archive(out)
     if not config.texts:
         raise ValueError("naming needs --texts (CSV with id,text columns)")
+    if not (config.fallback or config.backend_url):
+        raise ValueError("no --backend-url configured; pass --fallback for offline naming")
+    out = Path(config.out)
+    archive = pipeline.read_archive(out)
     sample_seed = _archived_fit_settings(config, archive).seed
     texts = _load_texts(config.texts)
 
-    if not (config.fallback or config.backend_url):
-        raise ValueError("no --backend-url configured; pass --fallback for offline naming")
     backend = None if config.fallback else naming.HttpBackend(
         url=config.backend_url,
         model=config.backend_model,
@@ -354,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         for f in fields(RunConfig):
             if command not in f.metadata["commands"]:
                 continue
-            kind = _scalar(f.type)
+            kind = scalar_type(f.type)
             kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
             if f.type.startswith("list["):
                 kwargs.update(nargs="+", choices=list(KIND_TOKENS))

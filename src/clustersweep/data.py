@@ -1,13 +1,17 @@
-"""Shared data model: embedding matrices, partitions, contingency tables.
+"""Shared data model: embedding matrices, partitions, contingency tables, and text files.
 
 Everything here is immutable after construction, so objects can be shared
 freely across worker threads. Those holding arrays compare equal only to
 themselves (``eq=False``), since array equality has no single truth value.
 Item alignment between partitions is always by id, never by position.
+Every text file of the package is read by ``read_text`` and written by
+``write_text``, and a JSON value is held to a field's type by ``json_fits``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -20,6 +24,50 @@ from .errors import ClusterSweepError, DimensionMismatch, NonFiniteValue, ParseE
 
 BINARY_MAGIC = b"CSEM"
 BINARY_VERSION = 1
+
+# The Python type of each scalar annotation; a JSON value needs it (an int passes as a float).
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """A UTF-8 text file's contents, a leading byte-order mark skipped.
+
+    ``newline`` is ``open``'s: None reads CRLF and CR line endings as LF, "" keeps them.
+
+    Raises:
+        ParseError: if the file is not UTF-8 text.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file, as ``csv.reader`` splits them."""
+    return list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 with LF line endings, on every platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def scalar_type(annotation: str) -> type:
+    """The Python type of a field annotation: its item type for a list, None dropped."""
+    return _SCALARS[annotation.removesuffix(" | None").removeprefix("list[").removesuffix("]")]
+
+
+def json_fits(value, annotation: str) -> bool:
+    """Whether a JSON value has the type of a field annotation; a bool is not a number."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(json_fits(v, annotation[5:-1]) for v in value)
+    if value is None:
+        return annotation.endswith(" | None")
+    want = scalar_type(annotation)
+    json_types = (int, float) if want is float else want
+    return isinstance(value, bool) == (want is bool) and isinstance(value, json_types)
 
 
 def _readonly(a: np.ndarray, dtype=None) -> np.ndarray:
@@ -222,15 +270,9 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
 
 
 def _load_csv(path: Path) -> EmbeddingMatrix:
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for line in fh:
-                # Fields keep their spaces: float() ignores them, and an id may not have them.
-                if line.strip():
-                    rows.append(line.rstrip("\n").split(","))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    # Split at "\n" only, as load_partition does. Fields keep their spaces:
+    # float() ignores them, and an id may not have them.
+    rows = [line.split(",") for line in read_text(path).split("\n") if line.strip()]
     if not rows:
         raise ParseError(f"{path}: empty file")
 
@@ -325,12 +367,10 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
         raise ParseError(f"unknown embedding format: {format!r}")
     _check_ids(matrix.ids, path)
     if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            cols = ",".join(f"e{c}" for c in range(matrix.d))
-            fh.write(f"id,{cols}\n")
-            for i, row_id in enumerate(matrix.ids):
-                row = ",".join(repr(float(x)) for x in matrix.values[i])
-                fh.write(f"{row_id},{row}\n")
+        cols = ",".join(f"e{c}" for c in range(matrix.d))
+        write_text(path, f"id,{cols}\n" + "".join(
+            f"{row_id}," + ",".join(map(repr, row)) + "\n"
+            for row_id, row in zip(matrix.ids, matrix.values.tolist())))
     else:
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
@@ -342,24 +382,17 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, format: str = "cs
 def save_partition(partition: Partition, path: str | Path) -> None:
     """Write a partition as an "id,label" CSV."""
     _check_ids(partition.ids, Path(path))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,label\n")
-        for item, label in zip(partition.ids, partition.labels):
-            fh.write(f"{item},{int(label)}\n")
+    write_text(path, "id,label\n" + "".join(
+        f"{item},{label}\n" for item, label in zip(partition.ids, partition.labels.tolist())))
 
 
 def load_partition(path: str | Path, k_declared: int) -> Partition:
     """Read an "id,label" CSV back into a Partition of ``k_declared`` clusters."""
     ids: list[str] = []
     labels: list[int] = []
-    try:
-        # Split at "\n" only, not splitlines(): it also splits at characters such
-        # as U+2028, which an id may hold. The id is not stripped: _check_ids holds it.
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    for line_no, line in enumerate(lines):
+    # Split at "\n" only, not splitlines(): it also splits at characters such
+    # as U+2028, which an id may hold. The id is not stripped: _check_ids holds it.
+    for line_no, line in enumerate(read_text(path).split("\n")):
         if not line or (line_no == 0 and line.lower() == "id,label"):
             continue
         # rpartition, not rsplit: no list per row.

@@ -9,10 +9,6 @@ class ParseError(ClusterSweepError):
     """An input file could not be parsed."""
 
 
-class MissingArchive(ParseError):
-    """A directory holds no sweep archive (no partition files), or one without input.bin."""
-
-
 class NonFiniteValue(ClusterSweepError):
     """An embedding entry is NaN or infinite."""
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import EmbeddingMatrix, Partition, _readonly
+from .data import EmbeddingMatrix, Partition, _readonly, json_fits, read_text, write_text
 from .errors import DimensionMismatch, InsufficientData, ParseError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -42,10 +42,6 @@ _BLAS_SETTERS = (
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
-
-# JSON types per GmmConfig field type; older model files print a whole float as an int.
-_JSON_TYPES = {"int": int, "float": (int, float)}
-
 
 @dataclass(frozen=True)
 class GmmConfig:
@@ -74,13 +70,13 @@ class GmmConfig:
     def from_dict(cls, d: dict) -> "GmmConfig":
         """Inverse of ``dataclasses.asdict`` that checks each field's JSON type.
 
-        Raises TypeError on a missing, unknown or ill-typed field.
+        Raises TypeError on a missing, unknown or ill-typed field, by ``json_fits``.
         """
         if not isinstance(d, dict):
             raise TypeError(f"config must be a JSON object, got {d!r}")
         for f in fields(cls):
             value = d.get(f.name)
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+            if not json_fits(value, f.type):
                 raise TypeError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         return cls(**d)
 
@@ -439,7 +435,7 @@ def save_model(model: MixtureModel, config: GmmConfig, path: str | Path) -> None
            "variances": model.variances.tolist(), "config": asdict(config),
            "final_log_likelihood": float(model.final_log_likelihood),
            "n_iter": int(model.n_iter), "converged": bool(model.converged)}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> tuple[MixtureModel, GmmConfig]:
@@ -449,14 +445,17 @@ def load_model(path: str | Path) -> tuple[MixtureModel, GmmConfig]:
         ParseError: if the file is not JSON or a field is missing or ill-typed.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
+        for f in fields(MixtureModel):
+            if f.type != "np.ndarray" and not json_fits(doc[f.name], f.type):
+                raise TypeError(f"field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
         model = MixtureModel(
-            k=int(doc["k"]),
+            k=doc["k"],
             weights=np.asarray(doc["weights"], dtype=np.float64),
             means=np.asarray(doc["means"], dtype=np.float64),
             variances=np.asarray(doc["variances"], dtype=np.float64),
-            converged=bool(doc["converged"]),
-            n_iter=int(doc["n_iter"]),
+            converged=doc["converged"],
+            n_iter=doc["n_iter"],
             final_log_likelihood=float(doc["final_log_likelihood"]),
         )
         return model, GmmConfig.from_dict(doc["config"])

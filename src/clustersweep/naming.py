@@ -11,8 +11,10 @@ joining its top three words. Duplicate names within one resolution get " 2",
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import os
 import re
 import threading
 import time
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Partition
+from .data import Partition, read_csv_rows, read_text, write_text
 from .errors import BackendUnavailable, ClusterSweepError, MalformedResponse, ParseError
 
 logger = logging.getLogger(__name__)
@@ -147,6 +149,7 @@ def fallback_name(profile: ClusterProfile) -> str:
     return " ".join(word for word, _ in profile.top_words[:3])
 
 
+@dataclass(frozen=True)
 class HttpBackend:
     """Text-completion client posting {"prompt": ...} to a configurable endpoint.
 
@@ -156,21 +159,12 @@ class HttpBackend:
     header.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str | None = None,
-        response_path: str = "name",
-        token_env: str = "CLUSTERSWEEP_API_TOKEN",
-    ):
-        self.url = url
-        self.model = model
-        self.response_path = response_path
-        self.token_env = token_env
+    url: str
+    model: str | None = None
+    response_path: str = "name"
+    token_env: str = "CLUSTERSWEEP_API_TOKEN"
 
     def _headers(self) -> dict[str, str]:
-        import os
-
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env)
         if token:
@@ -293,21 +287,17 @@ def name_clusters(
 
 def write_name_table(assignments: list[NameAssignment], path: str | Path) -> None:
     """CSV name table: k,cluster,raw_name,unique_name,backend."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "cluster", "raw_name", "unique_name", "backend"])
-        for a in assignments:
-            writer.writerow([a.k, a.cluster, a.raw_name, a.unique_name, a.backend])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["k", "cluster", "raw_name", "unique_name", "backend"])
+    writer.writerows([a.k, a.cluster, a.raw_name, a.unique_name, a.backend] for a in assignments)
+    write_text(path, buffer.getvalue())
 
 
 def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
     """Read a name table back as a (k, cluster) -> unique_name map."""
     names: dict[tuple[int, int], str] = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = read_csv_rows(path)
     if not rows or rows[0][:2] != ["k", "cluster"]:
         raise ParseError(f"{path}: not a name table (bad header)")
     for r, row in enumerate(rows[1:]):
@@ -322,23 +312,15 @@ def load_name_table(path: str | Path) -> dict[tuple[int, int], str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blank lines ignored."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    words = set()
-    for line in lines:
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
+    words = (line.strip().lower() for line in read_text(path).splitlines())
+    return frozenset(word for word in words if word)
 
 
 def load_emoji_map(path: str | Path) -> dict[str, str]:
     """JSON object mapping emoji strings to replacement names."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        doc = json.loads(read_text(path))
+    except ValueError as exc:
         raise ParseError(f"{path}: invalid emoji map JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()

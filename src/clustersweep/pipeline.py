@@ -18,8 +18,8 @@ from typing import Callable, Iterable
 
 from . import gmm
 from .data import EmbeddingMatrix, Partition, _load_binary, build_contingency, load_partition
-from .data import save_embeddings, save_partition
-from .errors import ClusterSweepError, MissingArchive, NumericFailure, ParseError
+from .data import save_embeddings, save_partition, write_text
+from .errors import ClusterSweepError, NumericFailure, ParseError
 from .gmm import GmmConfig, MixtureModel
 from .metrics import AmiReport, StabilityBreakdown, ami_from_table, stability_from_table
 
@@ -142,23 +142,22 @@ def write_archive(result: SweepResult, out_dir: str | Path) -> None:
     for k in range(result.k_min, result.k_max + 1):
         save_partition(result.partitions[k], out / f"partition_{k}.csv")
         gmm.save_model(result.models[k], replace(result.base, k=k), out / f"model_{k}.json")
-    with open(out / "consecutive_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([asdict(c) for c in result.consecutive], fh, indent=2)
-        fh.write("\n")
+    write_text(out / "consecutive_metrics.json",
+               json.dumps([asdict(c) for c in result.consecutive], indent=2) + "\n")
 
 
 def read_archive(path: str | Path) -> Archive:
     """Load a sweep archive back: its partitions, fit settings and input.
 
-    The K range is the archive's own. Every K needs a model_K.json; their fit
-    settings must agree. input.bin must hold partition_<k_min>.csv's ids, in
-    order, and every model's d. Raises MissingArchive if there are no partition
+    The K range is the archive's own. Every K needs a model_K.json of that K; their
+    fit settings must agree. input.bin must hold partition_<k_min>.csv's ids, in
+    order, and every model's d. Raises ParseError if there are no partition
     files or no input.bin.
     """
     root = Path(path)
     ks = sorted(k for k, _ in _k_files(root, "partition", ".csv"))
     if not ks:
-        raise MissingArchive(f"no sweep archive in {root}; run the sweep first")
+        raise ParseError(f"no sweep archive in {root}; run the sweep first")
     if ks != list(range(ks[0], ks[-1] + 1)):
         raise ParseError(f"{root}: partition files do not form a contiguous K range: {ks}")
     partitions = {k: load_partition(root / f"partition_{k}.csv", k_declared=k) for k in ks}
@@ -169,12 +168,14 @@ def read_archive(path: str | Path) -> Archive:
     bases, dims = set(), {}
     for k in ks:
         model, config = gmm.load_model(root / f"model_{k}.json")
+        if model.k != k or config.k != k:
+            raise ParseError(f"{root}: model_{k}.json holds K={model.k} (config k={config.k})")
         bases.add(replace(config, k=ks[0]))
         dims[k] = model.d
     if len(bases) > 1:
         raise ParseError(f"{root}: model files disagree on the fit settings")
     if not (root / "input.bin").exists():
-        raise MissingArchive(f"{root}: the sweep archive has no input.bin; run the sweep again")
+        raise ParseError(f"{root}: the sweep archive has no input.bin; run the sweep again")
     data = _load_binary(root / "input.bin")
     if data.ids != ids:
         raise ParseError(f"{root / 'input.bin'}: ids differ from partition_{ks[0]}.csv's")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ContingencyTable, build_contingency
+from .data import ContingencyTable, build_contingency, write_text
 from .errors import ClusterSweepError
 from .metrics import stability_from_table
 from .pipeline import Archive
@@ -95,9 +95,7 @@ def build_graph(
 
 def export_json(g: dict, path: str | Path) -> None:
     """Write the graph document with stable key ordering."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(g, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(g, indent=2) + "\n")
 
 
 def stability_color(stability: float) -> str:
@@ -247,4 +245,4 @@ def export_html(g: dict, path: str | Path) -> None:
     doc = _HTML_TEMPLATE.format(
         threshold=g["threshold"], svg=render_svg(g), graph_json=graph_json
     )
-    Path(path).write_text(doc, encoding="utf-8", newline="\n")
+    write_text(path, doc)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gmm
-from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions
+from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions, write_text
 from .metrics import ami
 from .pipeline import Archive, _fit_each_k
 
@@ -181,8 +181,7 @@ def write_curve(curve: StabilityCurve, out_dir: str | Path) -> None:
         ".json": json.dumps(doc, indent=2) + "\n",
     }
     for suffix, text in files.items():
-        Path(out_dir, f"stability_{KINDS[curve.kind]}{suffix}").write_text(
-            text, encoding="utf-8", newline="\n")
+        write_text(Path(out_dir, f"stability_{KINDS[curve.kind]}{suffix}"), text)
 
 
 def write_combined_csv(curves: list[StabilityCurve], path: str | Path) -> None:
@@ -194,8 +193,6 @@ def write_combined_csv(curves: list[StabilityCurve], path: str | Path) -> None:
         if c.k_values != ks:
             raise ValueError("curves cover different K ranges")
     header = "k" + "".join(f",{c.kind}_mean,{c.kind}_std" for c in curves)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, k in enumerate(ks):
-            cells = "".join(f",{c.mean_ami[i]!r},{c.std_ami[i]!r}" for c in curves)
-            fh.write(f"{k}{cells}\n")
+    write_text(path, header + "\n" + "".join(
+        f"{k}" + "".join(f",{c.mean_ami[i]!r},{c.std_ami[i]!r}" for c in curves) + "\n"
+        for i, k in enumerate(ks)))

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -20,7 +21,7 @@ from clustersweep.cli import (
 )
 from clustersweep.data import EmbeddingMatrix, load_embeddings, load_partition, save_embeddings
 from clustersweep.errors import ParseError
-from clustersweep.gmm import GmmConfig
+from clustersweep.gmm import GmmConfig, load_model
 from clustersweep.pipeline import read_archive, run_sweep, write_archive
 
 from conftest import failing_fit, make_blobs, make_matrix, spread_centers, write_binary_unchecked
@@ -741,6 +742,24 @@ class TestSankeyCommand:
         assert main(["sankey", "--out", str(out), "--names", str(names)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["model-of-k5", "config-k5"])
+    @pytest.mark.parametrize("stage", [["sankey"], ["name", "--fallback"]], ids=lambda s: s[0])
+    def test_model_file_of_another_k_exits_2_naming_it(
+        self, fixture_dir, tmp_path, capsys, stage, case
+    ):
+        out = tmp_path / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        if case == "model-of-k5":
+            shutil.copyfile(out / "model_5.json", out / "model_3.json")
+        else:
+            doc = json.loads((out / "model_3.json").read_text())
+            doc["config"]["k"] = 5
+            (out / "model_3.json").write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        texts = ["--texts", str(fixture_dir / "texts.csv")] if stage[0] == "name" else []
+        assert main([*stage, "--out", str(out), *texts]) == 2
+        assert "model_3.json holds K=" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", [
         {"n_init": 1, "init_method": "kmeans"},
         {"n_init": 5},
@@ -767,6 +786,15 @@ class TestNameCommand:
             "--texts", str(fixture_dir / "texts.csv"), "--fallback",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fallback"], "naming needs --texts"),
+        (["--texts", "texts.csv"], "no --backend-url configured"),
+    ], ids=["no-texts", "no-backend"])
+    def test_settings_are_checked_before_the_archive_is_read(self, tmp_path, capsys, argv,
+                                                             message):
+        assert main(["name", "--out", str(tmp_path / "none"), *argv]) == 1
+        assert message in capsys.readouterr().err
 
     def test_fallback_deterministic_bytes(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -935,6 +963,21 @@ def _load_sweep_config(path):
     return resolve_config(build_parser().parse_args(["sweep", "--config", str(path)]))
 
 
+def _load_partition_rows(path):
+    partition = load_partition(path, k_declared=3)
+    return partition.ids, partition.labels.tolist()
+
+
+def _load_model_fields(path):
+    model, config = load_model(path)
+    return config, model.k, model.means.tolist(), model.n_iter, model.converged
+
+
+MODEL_JSON = ('{"k": 1, "weights": [1.0], "means": [[0.5]], "variances": [[2.0]], "config": '
+              '{"k": 1, "max_iter": 2000, "tol": 0.001, "reg_covar": 1e-06, "seed": 0}, '
+              '"final_log_likelihood": -1.0, "n_iter": 3, "converged": true}\n')
+
+
 class TestByteOrderMark:
     """Excel's "CSV UTF-8" and some editors start a text file with a UTF-8 byte-order mark."""
 
@@ -947,8 +990,10 @@ class TestByteOrderMark:
          naming.load_name_table),
         ('{"\U0001f525": "fire"}', naming.load_emoji_map),
         ('{"seed": 3, "k_max": 6}', _load_sweep_config),
+        ("id,label\na,0\nb,2\nc,1\n", _load_partition_rows),
+        (MODEL_JSON, _load_model_fields),
     ], ids=["embeddings", "embeddings-with-ids", "texts", "stopwords", "name-table",
-            "emoji-map", "config"])
+            "emoji-map", "config", "partition", "model"])
     def test_loads_equal_to_the_file_without_one(self, tmp_path, text, load):
         def loaded():
             value = load(path)
@@ -961,6 +1006,56 @@ class TestByteOrderMark:
         plain = loaded()
         path.write_text("\ufeff" + text, encoding="utf-8")
         assert loaded() == plain
+
+
+class TestTextFiles:
+    """Every text file is read as UTF-8, a byte-order mark skipped, and written with LF."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, fixture_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("text-files") / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        return out
+
+    NAME = ["name", "--out", "{out}", "--fallback", "--texts", "{texts}"]
+
+    @pytest.mark.parametrize("file, argv, code", [
+        ("emb.csv", ["sweep", "--input", "{file}", "--out", "{out}"], 2),
+        ("run/partition_2.csv", ["sankey", "--out", "{out}"], 2),
+        ("run/model_3.json", ["sankey", "--out", "{out}"], 2),
+        ("texts.csv", ["name", "--out", "{out}", "--fallback", "--texts", "{file}"], 2),
+        ("names.csv", ["sankey", "--out", "{out}", "--names", "{file}"], 2),
+        ("stopwords.txt", [*NAME, "--stopwords", "{file}"], 2),
+        ("emoji.json", [*NAME, "--emoji-map", "{file}"], 2),
+        ("run.json", ["sweep", "--config", "{file}"], 1),
+    ], ids=["embeddings", "partition", "model", "texts", "name-table", "stopwords",
+            "emoji-map", "config"])
+    def test_a_file_that_is_not_utf8_exits_naming_it(
+        self, fixture_dir, archive, tmp_path, capsys, file, argv, code
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(archive, out)
+        path = tmp_path / file
+        path.write_bytes("id,text\n".encode("utf-16"))  # UTF-16, with its byte-order mark
+        argv = [a.format(file=path, out=out, texts=fixture_dir / "texts.csv") for a in argv]
+        capsys.readouterr()
+        assert main(argv) == code
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_no_file_of_a_four_stage_run_holds_a_carriage_return(self, fixture_dir, archive,
+                                                                  tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(archive, out)
+        stages = [
+            ["stability", "--k-max", "5", "--reps", "1", "--seed-lo", "1", "--seed-hi", "1"],
+            ["name", "--texts", str(fixture_dir / "texts.csv"), "--fallback"],
+            ["sankey", "--threshold", "0", "--names", str(out / "names.csv")],
+        ]
+        for stage in stages:
+            assert main([*stage, "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.iterdir() if p.name != "input.bin")  # binary
+        assert {"config.json", "graph.html", "names.csv", "stability_combined.csv"} <= set(written)
+        assert [name for name in written if b"\r" in (out / name).read_bytes()] == []
 
 
 class TestDegenerateInputs:

@@ -506,6 +506,9 @@ class TestModelSerialization:
         ("config.covariance", "full"), ("config.reg_covar", math.inf),
         # Retired fields are unknown fields, whatever their value.
         ("config.covariance", "diag"), ("config.n_init", 1), ("config.init_method", "kmeans"),
+        # Top-level fields are type-checked, not coerced: a bool is not a number.
+        ("k", 1.0), ("k", True), ("n_iter", "7"), ("n_iter", 1.5), ("converged", "no"),
+        ("converged", 1), ("final_log_likelihood", "-1.0"), ("final_log_likelihood", False),
     ])
     def test_missing_or_ill_typed_field_is_parse_error(self, tmp_path, field, value):
         model = MixtureModel(

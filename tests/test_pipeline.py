@@ -5,7 +5,7 @@ import pytest
 
 import clustersweep.gmm
 from clustersweep.data import ContingencyTable, build_contingency
-from clustersweep.errors import ClusterSweepError, MissingArchive, NumericFailure, ParseError
+from clustersweep.errors import ClusterSweepError, NumericFailure, ParseError
 from clustersweep.gmm import GmmConfig, load_model
 from clustersweep.metrics import ami, stability_from_table
 from clustersweep.pipeline import Archive, read_archive, run_sweep, write_archive
@@ -164,7 +164,7 @@ class TestArchive:
         arch = tmp_path / "arch"
         write_archive(result, arch)
         (arch / "input.bin").unlink()
-        with pytest.raises(MissingArchive, match="has no input.bin; run the sweep again"):
+        with pytest.raises(ParseError, match="has no input.bin; run the sweep again"):
             read_archive(arch)
         path = arch / "partition_2.csv"
         header, line, *rest = path.read_text().splitlines()
