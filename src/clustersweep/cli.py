@@ -21,13 +21,7 @@ from pathlib import Path
 
 from . import naming, pipeline, sankey, stability
 from .data import json_fits, load_embeddings, read_csv_rows, read_text, scalar_type, write_text
-from .errors import (
-    BackendUnavailable,
-    ClusterSweepError,
-    InsufficientData,
-    NumericFailure,
-    ParseError,
-)
+from .errors import BackendUnavailable, ClusterSweepError, NumericFailure, ParseError
 from .gmm import GmmConfig
 from .stability import PerturbationSpec
 
@@ -42,7 +36,7 @@ COMMANDS = ("sweep", "stability", "sankey", "name")
 EXIT_CODES = (
     (BackendUnavailable, 4),
     (NumericFailure, 3),
-    ((ValueError, InsufficientData), 1),
+    (ValueError, 1),
     ((OSError, ClusterSweepError), 2),
 )
 

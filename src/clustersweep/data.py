@@ -272,61 +272,47 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
 def _load_csv(path: Path) -> EmbeddingMatrix:
     # Split at "\n" only, as load_partition does. Fields keep their spaces:
     # float() ignores them, and an id may not have them.
-    rows = [line.split(",") for line in read_text(path).split("\n") if line.strip()]
-    if not rows:
+    lines = [line for line in read_text(path).split("\n") if line.strip()]
+    if not lines:
         raise ParseError(f"{path}: empty file")
 
-    first = rows[0]
-    has_header = (len(first) > 1 and any(not _is_float(f) for f in first[1:])) or (
-        len(first) == 1 and not _is_float(first[0])
-    )
-    if has_header:
-        header, data_rows = first, rows[1:]
-    else:
-        header, data_rows = None, rows
-    if not data_rows:
+    first = lines[0].split(",")
+    has_header = not all(map(_is_float, first[1:] if len(first) > 1 else first))
+    data_lines = lines[1:] if has_header else lines
+    if not data_lines:
         raise ParseError(f"{path}: no data rows")
+    has_ids = (first[0].strip().lower() == "id" if has_header
+               else not _is_float(data_lines[0].partition(",")[0]))
 
-    if header is not None:
-        has_ids = header[0].strip().lower() == "id"
-    else:
-        has_ids = not _is_float(data_rows[0][0])
-
-    width = len(data_rows[0])
-    for r, fields in enumerate(data_rows):
-        if len(fields) != width:
+    width = data_lines[0].count(",") + 1
+    for r, line in enumerate(data_lines):
+        if line.count(",") + 1 != width:
             raise DimensionMismatch(
-                f"{path}: row {r} has {len(fields)} fields, expected {width}"
+                f"{path}: row {r} has {line.count(',') + 1} fields, expected {width}"
             )
-    ids = [f[0] for f in data_rows] if has_ids else [str(r) for r in range(len(data_rows))]
+    ids = [line.partition(",")[0] if has_ids else str(r) for r, line in enumerate(data_lines)]
     if has_ids:
         _check_ids(ids, path)
-    tokens = [f[1:] for f in data_rows] if has_ids else data_rows
-    # numpy converts each str with float()'s rules; on a failure the tokens are
-    # gone over one at a time to find and name the first bad one.
-    try:
-        values = np.array(tokens, dtype=np.float64)
-        parsed = bool(np.isfinite(values).all())
-    except ValueError:
-        parsed = False
-    if not parsed:
-        values = _parse_values(tokens, path)
-    return EmbeddingMatrix(ids=tuple(ids), values=values)
-
-
-def _parse_values(rows: list[list[str]], path: Path) -> np.ndarray:
-    """Convert value tokens one by one, raising at the first that is not a finite number."""
-    values = np.empty((len(rows), len(rows[0])), dtype=np.float64)
-    for r, fields in enumerate(rows):
+    values = np.empty((len(data_lines), width - has_ids), dtype=np.float64)
+    for r, line in enumerate(data_lines):
+        fields = line.split(",")[has_ids:]
+        # numpy converts each str with float()'s rules. A row it rejects, or
+        # one holding a non-finite value, is converted again one token at a
+        # time, to raise at its first fault or to store what float() reads.
+        try:
+            values[r] = fields
+            if np.isfinite(values[r]).all():
+                continue
+        except ValueError:
+            pass
         for c, token in enumerate(fields):
             try:
-                x = float(token)
+                values[r, c] = x = float(token)
             except ValueError:
                 raise ParseError(f"{path}: row {r}, column {c}: not a number: {token!r}")
             if not math.isfinite(x):
                 raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
-            values[r, c] = x
-    return values
+    return EmbeddingMatrix(ids=tuple(ids), values=values)
 
 
 def _load_binary(path: Path) -> EmbeddingMatrix:

@@ -22,10 +22,6 @@ class DimensionMismatch(ClusterSweepError):
     """Array shapes are inconsistent (ragged rows, wrong embedding width, ...)."""
 
 
-class InsufficientData(ClusterSweepError):
-    """Fewer data points than mixture components."""
-
-
 class NumericFailure(ClusterSweepError):
     """A fit produced a non-finite log-likelihood."""
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .data import EmbeddingMatrix, Partition, _readonly, json_fits, read_text, write_text
-from .errors import DimensionMismatch, InsufficientData, ParseError
+from .errors import DimensionMismatch, ParseError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -350,12 +350,12 @@ def fit(
     last M step.
 
     Raises:
-        InsufficientData: if data.n < config.k.
+        ValueError: if data.n < config.k.
     """
     X = data.values
     n = X.shape[0]
     if n < config.k:
-        raise InsufficientData(f"n={n} rows cannot support k={config.k} components")
+        raise ValueError(f"n={n} rows cannot support k={config.k} components")
     _pin_blas()
 
     # One start: k-means++ seeding plus Lloyd rounds, turned into a first M step.

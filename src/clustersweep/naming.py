@@ -323,7 +323,7 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
     except ValueError as exc:
         raise ParseError(f"{path}: invalid emoji map JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
+        isinstance(k, str) and k and isinstance(v, str) for k, v in doc.items()
     ):
-        raise ParseError(f"{path}: emoji map must be a string-to-string object")
+        raise ParseError(f"{path}: emoji map must be a string-to-string object with no empty key")
     return doc

@@ -1,6 +1,7 @@
 import copy
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,29 @@ class TestEmbeddingIO:
         assert back.ids == m.ids
         assert np.max(np.abs(back.values - m.values)) < 1e-12
 
+    def test_csv_load_peaks_below_three_times_the_file_size(self, tmp_path):
+        # The file's text and its lines are held at once, but no row's fields
+        # outlive that row: a list of every row's field strings peaks above 5x.
+        rng = np.random.default_rng(11)
+        save_embeddings(make_matrix(rng.normal(size=(2000, 64))), tmp_path / "m.csv", "csv")
+        size = (tmp_path / "m.csv").stat().st_size
+        tracemalloc.start()
+        try:
+            load_embeddings(tmp_path / "m.csv", "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
+
+    def test_crlf_line_endings_read_as_lf(self, tmp_path):
+        rng = np.random.default_rng(12)
+        save_embeddings(make_matrix(rng.normal(size=(6, 3))), tmp_path / "lf.csv", "csv")
+        lf = (tmp_path / "lf.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
+        a = load_embeddings(tmp_path / "lf.csv", "csv")
+        b = load_embeddings(tmp_path / "crlf.csv", "csv")
+        assert b.ids == a.ids and b.values.tobytes() == a.values.tobytes()
+
     @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb"])
     def test_csv_rejects_ids_it_cannot_read_back(self, tmp_path, bad_id):
         m = make_matrix(np.ones((2, 2)), ids=(bad_id, "c"))
@@ -333,7 +357,7 @@ TOKENS = st.one_of(
 
 
 class TestCsvValues:
-    """The CSV reader converts the whole value block at once; each value is float() of its token."""
+    """The CSV reader converts a whole row at once; each value is float() of its token."""
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 5).flatmap(

@@ -17,7 +17,7 @@ import pytest
 from scipy.special import logsumexp
 
 from clustersweep.data import EmbeddingMatrix
-from clustersweep.errors import DimensionMismatch, InsufficientData, ParseError
+from clustersweep.errors import DimensionMismatch, ParseError
 import clustersweep.gmm
 from clustersweep.gmm import (
     GmmConfig,
@@ -184,7 +184,7 @@ class TestFit:
         assert (model.variances >= 1e-4).all()
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(ValueError, match="n=2 rows cannot support k=3 components"):
             fit(make_matrix([[1.0], [2.0]]), GmmConfig(k=3))
 
     def test_convergence_flags(self):

@@ -1,4 +1,5 @@
 import logging
+import re
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -425,3 +426,10 @@ class TestConfigFiles:
         (tmp_path / "emoji.json").write_text('{"a": 3}')
         with pytest.raises(ParseError):
             load_emoji_map(tmp_path / "emoji.json")
+
+    def test_emoji_map_with_an_empty_key_names_the_file(self, tmp_path):
+        # tokenize would put an empty key's replacement between every two characters.
+        path = tmp_path / "emoji.json"
+        path.write_text('{"\\ud83d\\ude00": "grin", "": "x"}', encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: emoji map must be")):
+            load_emoji_map(path)
