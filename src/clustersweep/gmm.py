@@ -347,7 +347,8 @@ def fit(
 
     ``iteration_hook(iteration, total_log_likelihood, responsibilities)`` is
     called at every E-step evaluation, including the final one after the
-    last M step.
+    last M step. It receives the responsibilities that the next M-step
+    reads, read-only.
 
     Raises:
         ValueError: if data.n < config.k.
@@ -367,23 +368,19 @@ def fit(
     X2 = X * X
     resp = np.zeros((n, config.k), dtype=np.float64)
     resp[np.arange(n), labels] = 1.0
-    weights, means, variances = _m_step_core(resp, X, X2, config.reg_covar)
-    mean_ll = -np.inf
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, config.max_iter + 1):
-        prev_mean_ll = mean_ll
+    mean_ll, converged = -np.inf, False
+    # Pass i runs M-step i, from Lloyd's labels at i = 0, then E-step i + 1.
+    for n_iter in range(config.max_iter + 1):
+        weights, means, variances = _m_step_core(resp, X, X2, config.reg_covar)
         log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X, X2)
+        resp = np.exp(log_resp)
+        resp.setflags(write=False)
         if iteration_hook is not None:
-            iteration_hook(n_iter, float(log_norm.sum()), np.exp(log_resp))
-        weights, means, variances = _m_step_core(np.exp(log_resp), X, X2, config.reg_covar)
-        mean_ll = float(log_norm.mean())
-        if abs(mean_ll - prev_mean_ll) < config.tol:
-            converged = True
+            iteration_hook(n_iter + 1, float(log_norm.sum()), resp)
+        if converged or n_iter == config.max_iter:
             break
-    log_resp, log_norm = _log_resp_and_norm(weights, means, variances, X, X2)
-    if iteration_hook is not None:
-        iteration_hook(n_iter + 1, float(log_norm.sum()), np.exp(log_resp))
+        prev_mean_ll, mean_ll = mean_ll, float(log_norm.mean())
+        converged = abs(mean_ll - prev_mean_ll) < config.tol
     model = MixtureModel(
         k=config.k,
         weights=weights,

@@ -11,6 +11,7 @@ joining its top three words. Duplicate names within one resolution get " 2",
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -83,13 +84,17 @@ class NameAssignment:
     backend: str
 
 
+@functools.lru_cache(maxsize=8)
+def _emoji_pattern(keys: tuple[str, ...]) -> re.Pattern:
+    """The keys as one alternation, longest first: one pass, whatever the keys' order."""
+    return re.compile("|".join(map(re.escape, sorted(keys, key=len, reverse=True))))
+
+
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS,
              emoji_map: dict[str, str] | None = None) -> list[str]:
     """Lowercase, strip Unicode punctuation, split on whitespace, drop stopwords."""
     if emoji_map:
-        for emoji, name in emoji_map.items():
-            if emoji in text:
-                text = text.replace(emoji, f" {name} ")
+        text = _emoji_pattern(tuple(emoji_map)).sub(lambda m: f" {emoji_map[m[0]]} ", text)
     text = text.lower()
     text = "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
     return [tok for tok in text.split() if tok and tok not in stopwords]
@@ -262,16 +267,14 @@ def name_clusters(
         with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
             named = list(pool.map(one, profiles))
 
-    # Suffix duplicates sequentially in profile order.
-    seen: Counter[str] = Counter()
+    # In profile order, each name takes the lowest free suffix.
     taken: set[str] = set()
     assignments = []
     for profile, (raw, kind) in zip(profiles, named):
-        seen[raw] += 1
-        unique = raw if seen[raw] == 1 else f"{raw} {seen[raw]}"
+        unique, suffix = raw, 1
         while unique in taken:
-            seen[raw] += 1
-            unique = f"{raw} {seen[raw]}"
+            suffix += 1
+            unique = f"{raw} {suffix}"
         taken.add(unique)
         assignments.append(
             NameAssignment(
@@ -323,7 +326,7 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
     except ValueError as exc:
         raise ParseError(f"{path}: invalid emoji map JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and k and isinstance(v, str) for k, v in doc.items()
+        isinstance(k, str) and k.strip() and isinstance(v, str) for k, v in doc.items()
     ):
-        raise ParseError(f"{path}: emoji map must be a string-to-string object with no empty key")
+        raise ParseError(f"{path}: emoji map must be a string-to-string object with no blank key")
     return doc

@@ -177,6 +177,25 @@ class TestFit:
 
         fit(data, GmmConfig(k=4), iteration_hook=hook)
 
+    @pytest.mark.parametrize("config, converged", [
+        (GmmConfig(k=3), True),
+        (GmmConfig(k=3, max_iter=1), False),
+        (GmmConfig(k=3, tol=1e-12, max_iter=7), False),
+    ], ids=["converged", "max_iter_1", "capped_at_7"])
+    def test_hook_sees_every_e_step_and_the_final_log_likelihood(self, config, converged):
+        rng = np.random.default_rng(9)
+        data = make_matrix(rng.normal(size=(90, 3)))
+        calls = []
+
+        def hook(it, ll, resp):
+            calls.append((it, ll))
+            assert not resp.flags.writeable  # it is the array the next M-step reads
+
+        model, _ = fit(data, config, iteration_hook=hook)
+        assert model.converged is converged
+        assert [it for it, _ in calls] == list(range(1, model.n_iter + 2))
+        assert calls[-1][1] == model.final_log_likelihood
+
     def test_variance_floor(self):
         # Duplicated points force zero within-component variance.
         X = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 10, axis=0)

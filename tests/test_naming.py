@@ -96,6 +96,16 @@ class TestTokenize:
         toks = tokenize("I vote \U0001f1fa\U0001f1f8 today", emoji_map={"\U0001f1fa\U0001f1f8": "us flag"})
         assert toks == ["vote", "us", "flag", "today"]
 
+    def test_a_later_key_does_not_match_inside_an_earlier_replacement(self):
+        toks = tokenize("on \U0001f525 today", emoji_map={"\U0001f525": "fire", "i": "eye"})
+        assert toks == ["fire", "today"]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_the_longest_key_wins_whatever_the_key_order(self, reverse):
+        keys = [("\U0001f1fa", "u"), ("\U0001f1fa\U0001f1f8", "usa")]
+        emoji_map = dict(reversed(keys) if reverse else keys)
+        assert tokenize("\U0001f1fa\U0001f1f8 fan", emoji_map=emoji_map) == ["usa", "fan"]
+
     def test_custom_stopwords(self):
         toks = tokenize("alpha beta gamma", stopwords=frozenset({"beta"}))
         assert toks == ["alpha", "gamma"]
@@ -216,8 +226,7 @@ class TestNameClusters:
     def test_suffix_collision_with_raw_name(self):
         profiles = [profile(cluster=c) for c in range(3)]
         out = name_clusters(profiles, StubBackend(["X", "X 2", "X"]))
-        names = [a.unique_name for a in out]
-        assert len(set(names)) == 3
+        assert [a.unique_name for a in out] == ["X", "X 2", "X 3"]
 
     def test_empty_name_falls_back(self, caplog):
         p = profile(words=(("alpha", 2), ("beta", 1)))
@@ -431,5 +440,12 @@ class TestConfigFiles:
         # tokenize would put an empty key's replacement between every two characters.
         path = tmp_path / "emoji.json"
         path.write_text('{"\\ud83d\\ude00": "grin", "": "x"}', encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: emoji map must be")):
+            load_emoji_map(path)
+
+    def test_emoji_map_with_a_whitespace_key_names_the_file(self, tmp_path):
+        # One pass would still put a " " key's replacement between every two words.
+        path = tmp_path / "emoji.json"
+        path.write_text('{" ": "x"}', encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f"{path}: emoji map must be")):
             load_emoji_map(path)
