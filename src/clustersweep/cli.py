@@ -89,6 +89,8 @@ class RunConfig:
         """Check what building ``base`` (GmmConfig) and ``specs`` (PerturbationSpec) does not."""
         if self.format not in ("csv", "bin"):
             raise ValueError(f"format must be csv or bin, got {self.format!r}")
+        if self.k_min < 1:
+            raise ValueError(f"k-min must be >= 1, got {self.k_min}")
         if self.k_max < self.k_min:
             raise ValueError(f"k-max ({self.k_max}) < k-min ({self.k_min})")
         if self.jobs < 1:

@@ -4,8 +4,9 @@ Everything here is immutable after construction, so objects can be shared
 freely across worker threads. Those holding arrays compare equal only to
 themselves (``eq=False``), since array equality has no single truth value.
 Item alignment between partitions is always by id, never by position.
-Every text file of the package is read by ``read_text`` and written by
-``write_text``, and a JSON value is held to a field's type by ``json_fits``.
+Every text file of the package is read by ``read_text`` (or line by line by
+``read_lines``) and written by ``write_text``, and a JSON value is held to a
+field's type by ``json_fits``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,23 @@ def read_text(path: str | Path, newline: str | None = None) -> str:
     try:
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """A UTF-8 text file's lines without their "\\n", read as ``read_text`` reads the file.
+
+    Lines end at "\\n" only (CRLF and CR read as LF), not where ``str.splitlines``
+    ends them: it also splits at characters such as U+2028, which an id may hold.
+
+    Raises:
+        ParseError: if the file is not UTF-8 text.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for line in fh:
+                yield line.removesuffix("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -270,9 +288,8 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
 
 
 def _load_csv(path: Path) -> EmbeddingMatrix:
-    # Split at "\n" only, as load_partition does. Fields keep their spaces:
-    # float() ignores them, and an id may not have them.
-    lines = [line for line in read_text(path).split("\n") if line.strip()]
+    # Fields keep their spaces: float() ignores them, and an id may not have them.
+    lines = [line for line in read_lines(path) if line.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")
 
@@ -312,6 +329,7 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
                 raise ParseError(f"{path}: row {r}, column {c}: not a number: {token!r}")
             if not math.isfinite(x):
                 raise NonFiniteValue(r, c, f"{path}: non-finite value at row {r}, column {c}")
+    del lines, data_lines  # before EmbeddingMatrix copies the values
     return EmbeddingMatrix(ids=tuple(ids), values=values)
 
 
@@ -376,15 +394,14 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
     """Read an "id,label" CSV back into a Partition of ``k_declared`` clusters."""
     ids: list[str] = []
     labels: list[int] = []
-    # Split at "\n" only, not splitlines(): it also splits at characters such
-    # as U+2028, which an id may hold. The id is not stripped: _check_ids holds it.
-    for line_no, line in enumerate(read_text(path).split("\n")):
+    # The id is not stripped: _check_ids holds it.
+    for line_no, line in enumerate(read_lines(path)):
         if not line or (line_no == 0 and line.lower() == "id,label"):
             continue
         # rpartition, not rsplit: no list per row.
         row_id, comma, label_text = line.rpartition(",")
         if not comma:
-            raise ParseError(f"{path}: malformed partition row: {line!r}")
+            raise ParseError(f"{path}: row {len(ids)}: not an id,label pair: {line!r}")
         try:
             label = int(label_text)
             if label_text != str(label):  # int() also takes " 3", "+3", "1_0" and "٣"

@@ -266,46 +266,34 @@ def _kmeans_plus_plus(X: np.ndarray, n_trials: int, rng: np.random.Generator) ->
         closest_sq = np.minimum(closest_sq, sq_dist(best))
 
 
-class _SeedingPlan:
-    """The k-means++ centers of one (data, seed, n_trials), drawn as far as asked.
-
-    ``n_trials = 2 + int(log k)`` is the same for k = 1-2, 3-7, 8-20, ...,
-    and nothing else draws from a fit's generator, so every k of one group
-    takes the first k centers of one plan.
-    """
-
-    def __init__(self, X: np.ndarray, seed: int, n_trials: int):
-        # The first child of the seed, as older versions drew one child per
-        # initialization: default_rng(seed) itself would change every partition.
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        self._steps = _kmeans_plus_plus(X, n_trials, rng)
-        self._rows: list[int] = []
-        self._lock = threading.Lock()
-
-    def first(self, k: int) -> list[int]:
-        """Row indices of the first k centers; concurrent callers wait for one another."""
-        with self._lock:
-            while len(self._rows) < k:
-                self._rows.append(next(self._steps))
-            return self._rows[:k]
-
-
-# data -> (seed, {n_trials: plan}): the plans of the last seed fitted on each
-# live EmbeddingMatrix. Kept beside the data, not on it, so that what the data
-# pickles and copies to does not change.
+# data -> (seed, {n_trials: (k-means++ steps, rows drawn so far)}): the seedings
+# of the last seed fitted on each live EmbeddingMatrix. Kept beside the data,
+# not on it, so that what the data pickles and copies to does not change.
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
 
 
-def _seeding_plan(data: EmbeddingMatrix, seed: int, n_trials: int) -> _SeedingPlan:
+def _seeding_rows(data: EmbeddingMatrix, seed: int, n_trials: int, k: int) -> list[int]:
+    """Row indices of the first k centers k-means++ draws for one (data, seed, n_trials).
+
+    ``n_trials = 2 + int(log k)`` is the same for k = 1-2, 3-7, 8-20, ...,
+    and nothing else draws from a fit's generator, so every k of one group
+    takes the first k centers of one seeding, drawn as far as asked. One lock
+    guards the memo and every seeding's extension.
+    """
     with _plans_lock:
         entry = _plans.get(data)
         if entry is None or entry[0] != seed:
             entry = _plans[data] = (seed, {})
-        plans = entry[1]
-        if n_trials not in plans:
-            plans[n_trials] = _SeedingPlan(data.values, seed, n_trials)
-        return plans[n_trials]
+        if n_trials not in entry[1]:
+            # The first child of the seed, as older versions drew one child per
+            # initialization: default_rng(seed) itself would change every partition.
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            entry[1][n_trials] = (_kmeans_plus_plus(data.values, n_trials, rng), [])
+        steps, rows = entry[1][n_trials]
+        while len(rows) < k:
+            rows.append(next(steps))
+        return rows[:k]
 
 
 def _lloyd_labels(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -360,9 +348,9 @@ def fit(
     _pin_blas()
 
     # One start: k-means++ seeding plus Lloyd rounds, turned into a first M step.
-    # Lloyd moves the centers in place: X[rows] is a copy of the plan's rows.
-    plan = _seeding_plan(data, config.seed, 2 + int(math.log(config.k)))
-    labels = _lloyd_labels(X, X[plan.first(config.k)])
+    # Lloyd moves the centers in place: X[rows] is a copy of the seeding's rows.
+    rows = _seeding_rows(data, config.seed, 2 + int(math.log(config.k)), config.k)
+    labels = _lloyd_labels(X, X[rows])
     # X * X for every E- and M-step, made after seeding so that it never adds
     # to seeding's own n x d temporaries.
     X2 = X * X

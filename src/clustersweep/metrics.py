@@ -8,8 +8,8 @@ relabeling and AMI is bit-identical under argument swap.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,9 +88,6 @@ _LGAM_A = (
 )
 _LS2PI = 0.91893853320467274178
 
-_log_factorial_table = np.zeros(1)  # _log_factorial_table[m] == log(m!)
-_log_factorial_lock = threading.Lock()
-
 
 def _log_gamma(x: int) -> float:
     """log Gamma(x) at an integer x >= 1, bit for bit as cephes ``lgam`` computes it.
@@ -116,17 +113,12 @@ def _log_gamma(x: int) -> float:
     return q + poly / x
 
 
+# One CLI process meets two n at most: the input's and its row subsample's.
+@lru_cache(maxsize=4)
 def _log_factorials(n: int) -> np.ndarray:
-    """An array whose entry m is log(m!), for m = 0..n at least.
-
-    One table per process, grown on demand: every AMI of a run shares it.
-    """
-    global _log_factorial_table
-    with _log_factorial_lock:
-        table = _log_factorial_table
-        if table.size <= n:
-            grown = [_log_gamma(m + 1) for m in range(table.size, n + 1)]
-            table = _log_factorial_table = np.concatenate([table, grown])
+    """A read-only array whose entry m is log(m!), for m = 0..n."""
+    table = np.array([_log_gamma(m + 1) for m in range(n + 1)])
+    table.setflags(write=False)
     return table
 
 

@@ -109,11 +109,8 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
 
     order = sorted(ks, reverse=True)
     gmm._pin_blas()  # before any worker thread starts
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = dict(zip(order, pool.map(fit_one, order)))
-    else:
-        fitted = {k: fit_one(k) for k in order}
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        fitted = dict(zip(order, pool.map(fit_one, order)))
     for k in reversed(order):
         ll = fitted[k][0].final_log_likelihood
         if not math.isfinite(ll):

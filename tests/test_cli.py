@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -136,6 +137,11 @@ class TestConfigResolution:
         # A config.json written while --fit-reference, or --master-seed, existed.
         ({"fit_reference": False}, ["run.json", "'fit_reference'"]),
         ({"master_seed": 0}, ["run.json", "'master_seed'"]),
+        ({"kinds": ["nope"]}, ["kinds", "'nope'"]),
+        ({"jobs": 0}, ["jobs"]),
+        ({"format": "xml"}, ["format", "'xml'"]),
+        ({"repetitions": 0}, ["repetitions"]),
+        ({"k_min": 0}, ["k-min"]),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
         (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -701,7 +707,8 @@ class TestSankeyCommand:
         ("{id},9", "partition_3.csv: row 0: label 9 is not in [0, 3)"),
         ("{id},-1", "partition_3.csv: row 0: label -1 is not in [0, 3)"),
         ("{line}\n{line}", "partition_3.csv: id '{id}' repeats in rows 0 and 1"),
-    ], ids=["label-above-k", "negative-label", "repeated-row"])
+        ("{id}", "partition_3.csv: row 0: not an id,label pair: '{id}'"),
+    ], ids=["label-above-k", "negative-label", "repeated-row", "no-comma"])
     def test_partition_breaking_the_archive_rules_exits_2_naming_it(
         self, fixture_dir, tmp_path, capsys, row, message
     ):
@@ -1056,6 +1063,56 @@ class TestTextFiles:
         written = sorted(p.name for p in out.iterdir() if p.name != "input.bin")  # binary
         assert {"config.json", "graph.html", "names.csv", "stability_combined.csv"} <= set(written)
         assert [name for name in written if b"\r" in (out / name).read_bytes()] == []
+
+
+class TestDocumentedErrors:
+    """Each file error README documents exits with its code and names the file."""
+
+    @pytest.fixture(scope="class")
+    def archive(self, fixture_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("errors") / "run"
+        assert run_sweep_once(fixture_dir, out) == 0
+        return out
+
+    SWEEP = ["sweep", "--input", "{file}", "--out", "{out}"]
+    SWEEP_BIN = [*SWEEP, "--format", "bin"]
+    SANKEY = ["sankey", "--out", "{out}"]
+
+    @pytest.mark.parametrize("file, content, argv, code, message", [
+        ("run/partition_3.csv", None, SANKEY, 2,
+         "{out}: partition files do not form a contiguous K range: [1, 2, 4, 5]"),
+        ("run/partition_4.csv", b"id,label\nx,0\n", SANKEY, 2,
+         "{out}: partition_4.csv covers a different id set"),
+        ("run/partition_3.csv", b"", SANKEY, 2, "{file}: empty partition file"),
+        ("emb.csv", b"", SWEEP, 2, "{file}: empty file"),
+        ("emb.csv", b"id,e0,e1\n", SWEEP, 2, "{file}: no data rows"),
+        # The binary header: magic, version, n and d; then n x d float64 values.
+        ("emb.bin", b"CSEM" + struct.pack("<BQQ", 2, 2, 2) + bytes(32), SWEEP_BIN, 2,
+         "{file}: unsupported version 2"),
+        ("emb.bin", b"CSEM" + struct.pack("<BQQ", 1, 2, 2) + bytes(24), SWEEP_BIN, 2,
+         "{file}: truncated value block"),
+        ("run.json", None, ["sweep", "--config", "{file}"], 2, "config file not found: {file}"),
+        ("run.json", b'{"k_max": 3,', ["sweep", "--config", "{file}"], 1,
+         "{file}: invalid config JSON"),
+        ("texts.csv", b"ident,text\n0,moon\n",
+         ["name", "--out", "{out}", "--fallback", "--texts", "{file}"], 2,
+         "{file}: texts file must be a CSV with an 'id,text' header"),
+    ], ids=["partition-missing", "partition-other-ids", "partition-empty", "csv-empty",
+            "csv-header-only", "bin-version", "bin-truncated", "config-missing",
+            "config-bad-json", "texts-header"])
+    def test_exits_with_its_code_naming_the_file(
+        self, archive, tmp_path, capsys, file, content, argv, code, message
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(archive, out)
+        path = tmp_path / file
+        if content is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_bytes(content)
+        capsys.readouterr()
+        assert main([a.format(file=path, out=out) for a in argv]) == code
+        assert message.format(file=path, out=out) in capsys.readouterr().err
 
 
 class TestDegenerateInputs:

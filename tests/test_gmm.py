@@ -27,7 +27,7 @@ from clustersweep.gmm import (
     _logsumexp_rows,
     _pin_blas,
     _plans,
-    _seeding_plan,
+    _seeding_rows,
     e_step,
     fit,
     load_model,
@@ -287,7 +287,7 @@ class TestSeedingPlan:
         for seed in range(5):
             data = make_matrix(X)
             for k in (ks if order == "ascending" else reversed(ks)):
-                got = X[_seeding_plan(data, seed, _n_trials(k)).first(k)]
+                got = X[_seeding_rows(data, seed, _n_trials(k), k)]
                 want = _kmeans_plus_plus_reference(X, k, _fit_rng(seed))
                 assert np.array_equal(got, want), (name, seed, k)
 
@@ -315,7 +315,7 @@ class TestSeedingPlan:
 
         def worker(offset):
             for k in ks[offset::8]:
-                got[offset, k] = X[_seeding_plan(data, 2, _n_trials(k)).first(k)]
+                got[offset, k] = X[_seeding_rows(data, 2, _n_trials(k), k)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -360,7 +360,7 @@ class TestSeedingPlan:
         runs["jobs=2"] = model_bytes("jobs2", zip(ks[::-1], fits))
         warm = fresh()
         for n_trials in {_n_trials(k) for k in ks}:
-            _seeding_plan(warm, config.seed, n_trials).first(20)
+            _seeding_rows(warm, config.seed, n_trials, 20)
         runs["warm"] = model_bytes("warm", [(k, fit(warm, replace(config, k=k))) for k in ks])
         for label, got in runs.items():
             assert got == cold, label
@@ -388,7 +388,7 @@ class TestSeedingPlan:
         fit(data, GmmConfig(k=3, seed=1))
         seed, plans = _plans[data]
         assert seed == 1 and sorted(plans) == [3]
-        plan = weakref.ref(plans[3])
+        plan = weakref.ref(plans[3][0])
         del data, plans
         gc.collect()
         assert plan() is None
