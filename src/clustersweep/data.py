@@ -4,15 +4,14 @@ Everything here is immutable after construction, so objects can be shared
 freely across worker threads. Those holding arrays compare equal only to
 themselves (``eq=False``), since array equality has no single truth value.
 Item alignment between partitions is always by id, never by position.
-Every text file of the package is read by ``read_text`` (or line by line by
-``read_lines``) and written by ``write_text``, and a JSON value is held to a
-field's type by ``json_fits``.
+Every text file is opened by ``_lines`` (read by ``read_text``, ``read_lines`` and
+``read_csv_rows``) and written by ``write_text``; ``_check_ids`` holds every id to
+one rule, and ``json_fits`` a JSON value to a field's type.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -30,41 +29,36 @@ BINARY_VERSION = 1
 _SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def read_text(path: str | Path, newline: str | None = None) -> str:
-    """A UTF-8 text file's contents, a leading byte-order mark skipped.
+def _lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """A UTF-8 text file's lines, ends kept, a leading byte-order mark skipped.
 
-    ``newline`` is ``open``'s: None reads CRLF and CR line endings as LF, "" keeps them.
-
-    Raises:
-        ParseError: if the file is not UTF-8 text.
+    ``newline`` is ``open``'s: None reads CRLF and CR as LF, "" keeps them. Raises
+    ParseError if the file is not UTF-8 text.
     """
     try:
         with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            return fh.read()
+            yield from fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, CRLF and CR line endings read as LF."""
+    return "".join(_lines(path))
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
     """A UTF-8 text file's lines without their "\\n", read as ``read_text`` reads the file.
 
-    Lines end at "\\n" only (CRLF and CR read as LF), not where ``str.splitlines``
-    ends them: it also splits at characters such as U+2028, which an id may hold.
-
-    Raises:
-        ParseError: if the file is not UTF-8 text.
+    Lines end at "\\n" only (CRLF and CR read as LF), not where ``str.splitlines`` ends
+    them: it also splits at characters such as U+2028, which an id may hold.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for line in fh:
-                yield line.removesuffix("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return (line.removesuffix("\n") for line in _lines(path))
 
 
 def read_csv_rows(path: str | Path) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file, as ``csv.reader`` splits them."""
-    return list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))
+    """The rows of a UTF-8 CSV file, as ``csv.reader`` splits them; line ends are its to read."""
+    return list(csv.reader(_lines(path, newline="")))
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -146,7 +140,6 @@ class Partition:
     while :meth:`occupied_clusters` counts nonempty ones.
     """
 
-    n_items: int
     k_declared: int
     labels: np.ndarray
     ids: tuple[str, ...]
@@ -155,12 +148,14 @@ class Partition:
         labels = _readonly(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        if labels.ndim != 1 or labels.shape[0] != self.n_items:
-            raise DimensionMismatch("labels length must equal n_items")
-        if len(self.ids) != self.n_items:
-            raise DimensionMismatch("ids length must equal n_items")
+        if labels.shape != (len(self.ids),):
+            raise DimensionMismatch("labels length must equal ids length")
         if self.n_items > 0 and (labels.min() < 0 or labels.max() >= self.k_declared):
             raise ValueError(f"labels must lie in [0, {self.k_declared})")
+
+    @property
+    def n_items(self) -> int:
+        return len(self.ids)
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k_declared)
@@ -228,27 +223,20 @@ def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partiti
         raise ClusterSweepError("partitions share no ids")
     shared_ids = tuple(a.ids[i] for i in a_idx)
     b_idx = [b_pos[item] for item in shared_ids]
-    a_out = Partition(len(a_idx), a.k_declared, a.labels[a_idx], shared_ids)
-    b_out = Partition(len(b_idx), b.k_declared, b.labels[b_idx], shared_ids)
-    return a_out, b_out
+    return (Partition(a.k_declared, a.labels[a_idx], shared_ids),
+            Partition(b.k_declared, b.labels[b_idx], shared_ids))
 
 
 def _check_ids(ids: Sequence[str], path: Path) -> None:
     """Hold every id to the id rule of every file format, or raise ParseError.
 
-    An id has no comma and no line break, and does not start or end with
-    whitespace: CSV rows split at commas and line breaks, and a partition id
-    read back must be the id written. No id repeats. The whole list is checked
-    at once; its rows are walked only to name the first that breaks the rule.
+    An id has no comma and no line break, and does not start or end with whitespace:
+    CSV rows split at commas and line breaks, and a partition id read back must be
+    the id written. No id repeats. The first fault in row order is raised.
     """
-    joined = "\n".join(ids)
-    if (len(set(ids)) == len(ids) and joined.count("\n") == len(ids) - 1
-            and "," not in joined and "\r" not in joined
-            and "\n".join(map(str.strip, ids)) == joined):
-        return
     seen = {}
     for row, row_id in enumerate(ids):
-        if any(ch in row_id for ch in ",\r\n") or row_id != row_id.strip():
+        if "," in row_id or "\n" in row_id or "\r" in row_id or row_id != row_id.strip():
             raise ParseError(
                 f"{path}: row {row}: id {row_id!r} contains a comma or a line break, "
                 "or starts or ends with whitespace"
@@ -415,4 +403,4 @@ def load_partition(path: str | Path, k_declared: int) -> Partition:
     if not ids:
         raise ParseError(f"{path}: empty partition file")
     _check_ids(ids, path)
-    return Partition(len(ids), k_declared, np.asarray(labels), tuple(ids))
+    return Partition(k_declared, np.asarray(labels), tuple(ids))

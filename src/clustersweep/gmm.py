@@ -379,7 +379,7 @@ def fit(
         final_log_likelihood=float(log_norm.sum()),
     )
     labels = np.argmax(log_resp, axis=1)
-    return model, Partition(n_items=n, k_declared=config.k, labels=labels, ids=data.ids)
+    return model, Partition(k_declared=config.k, labels=labels, ids=data.ids)
 
 
 def _blas_thread_setter() -> Callable[[int], None] | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -94,18 +95,27 @@ def _fit_each_k(data: EmbeddingMatrix, config: GmmConfig, ks: Iterable[int], job
                 where: str = "", score: Callable[[int, Partition], float] | None = None) -> dict:
     """The one fit path of sweeps and refits: ``{k: (model, partition)}`` for each K of ``ks``.
 
-    Fits run on ``jobs`` threads, largest (slowest) K first, and are joined by K.
-    ``score(k, partition)``, if given, runs next to its fit and replaces the partition.
+    Fits run on ``jobs`` threads, largest (slowest) K first, and are joined by K; once one
+    raises, no other starts. ``score(k, partition)``, if given, runs next to its fit and
+    replaces the partition.
     Errors name the K, then ``where`` (" in seed_variation seed 5"; empty for a sweep);
     NumericFailure is raised at the lowest K whose final log-likelihood is not finite.
     """
-    def fit_one(k: int) -> tuple[MixtureModel, Partition | float]:
+    failed = threading.Event()  # set at the first error, before the caller sees it
+
+    def fit_one(k: int) -> tuple[MixtureModel, Partition | float] | None:
+        if failed.is_set():
+            return None  # the run fails with an earlier K's error
         try:
-            model, part = gmm.fit(data, replace(config, k=k))
-        except ClusterSweepError as exc:
-            exc.args = (f"while fitting K={k}{where}: {exc}",)
+            try:
+                model, part = gmm.fit(data, replace(config, k=k))
+            except ClusterSweepError as exc:
+                exc.args = (f"while fitting K={k}{where}: {exc}",)
+                raise
+            return model, score(k, part) if score else part
+        except Exception:
+            failed.set()
             raise
-        return model, score(k, part) if score else part
 
     order = sorted(ks, reverse=True)
     gmm._pin_blas()  # before any worker thread starts

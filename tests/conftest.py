@@ -18,7 +18,7 @@ def make_partition(labels, k=None, ids=None) -> Partition:
         k = int(labels.max()) + 1 if labels.size else 1
     if ids is None:
         ids = tuple(str(i) for i in range(len(labels)))
-    return Partition(len(labels), k, labels, tuple(ids))
+    return Partition(k, labels, tuple(ids))
 
 
 def make_matrix(values, ids=None) -> EmbeddingMatrix:

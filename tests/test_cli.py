@@ -948,6 +948,13 @@ class TestNameCommand:
         (tmp_path / "texts.csv").write_text('id,text\n7,loving yoga\n9,"quoted, fine"\n')
         assert _load_texts(tmp_path / "texts.csv") == {"7": "loving yoga", "9": "quoted, fine"}
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_each_text_reads_back_exactly_at_any_line_ending(self, tmp_path, newline):
+        rows = ["id,text", "7,loving yoga", '9,"two\r\nlines, quoted"', '11,"one\nmore"', "12,end"]
+        (tmp_path / "texts.csv").write_bytes(newline.join(rows).encode() + newline.encode())
+        assert _load_texts(tmp_path / "texts.csv") == {
+            "7": "loving yoga", "9": "two\r\nlines, quoted", "11": "one\nmore", "12": "end"}
+
     def test_tokenizes_each_id_once_in_any_partition_row_order(
         self, fixture_dir, tmp_path, monkeypatch
     ):

@@ -62,6 +62,17 @@ class TestEmbeddingMatrix:
         assert sub.ids == ("c", "a")
 
 
+class TestPartition:
+    @pytest.mark.parametrize("labels, ids", [([0, 1, 1], "ab"), ([0, 1], "abc"), ([[0, 1]], "ab")],
+                             ids=["more-labels", "more-ids", "2-d-labels"])
+    def test_labels_and_ids_must_have_one_length(self, labels, ids):
+        with pytest.raises(DimensionMismatch, match="labels length must equal ids length"):
+            make_partition(labels, k=2, ids=ids)
+
+    def test_n_items_counts_the_ids(self):
+        assert make_partition([0, 1, 1], ids="abc").n_items == 3
+
+
 class TestBuildContingency:
     def test_identical_partitions(self):
         a = make_partition([0, 0, 1, 1])

@@ -401,6 +401,15 @@ class TestNameTableIO:
         assert table[(3, 0)] == "A, with comma"
         assert table[(3, 1)] == "A, with comma 2"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_each_name_reads_back_exactly_at_any_line_ending(self, tmp_path, newline):
+        rows = ["k,cluster,raw_name,unique_name,backend", "3,0,yoga,yoga,fallback",
+                '3,1,x,"two\r\nlines, quoted",external', '3,2,y,"one\nmore",external']
+        path = tmp_path / "names.csv"
+        path.write_bytes(newline.join(rows).encode() + newline.encode())
+        assert load_name_table(path) == {
+            (3, 0): "yoga", (3, 1): "two\r\nlines, quoted", (3, 2): "one\nmore"}
+
     def test_rejects_bad_header(self, tmp_path):
         (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -82,6 +83,28 @@ class TestRunSweep:
         monkeypatch.setattr("clustersweep.pipeline.gmm.fit", poisoned_fit)
         with pytest.raises(NumericFailure, match="K=1"):
             run_sweep(data, GmmConfig(k=1), 1, 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_fit_starts_after_a_fit_raises(self, monkeypatch, jobs):
+        data, _ = make_blobs([[0.0, 0.0]], n_per=20, sigma=1.0, seed=3)
+        real_fit = clustersweep.gmm.fit
+        raised = threading.Event()
+        late = []
+
+        def fit(d, config, iteration_hook=None):
+            if raised.is_set():
+                late.append(config.k)
+            if config.k == 8:
+                raised.set()
+                raise ClusterSweepError("synthetic failure")
+            if config.k == 10 and jobs == 2:
+                assert raised.wait(timeout=10)  # K=10 is still running when K=8 raises
+            return real_fit(d, config, iteration_hook)
+
+        monkeypatch.setattr("clustersweep.pipeline.gmm.fit", fit)
+        with pytest.raises(ClusterSweepError, match="while fitting K=8: synthetic failure"):
+            run_sweep(data, GmmConfig(k=1), 1, 10, jobs=jobs)
+        assert late == []
 
 
 class TestTransitionCounts:
