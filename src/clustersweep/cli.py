@@ -40,13 +40,13 @@ EXIT_CODES = (
     ((OSError, ClusterSweepError), 2),
 )
 
-def _setting(default, help: str, *commands: str, flag: str | None = None):
+def _setting(default, help: str, *commands: str):
     """A RunConfig field with its flag's help and the subcommands offering it (all if none).
 
-    The flag is ``--`` and the field name with ``-`` for ``_``, unless ``flag`` spells it.
+    The flag is ``--`` and the field name with ``-`` for ``_``.
     """
     kw = {"default_factory" if callable(default) else "default": default}
-    return field(**kw, metadata={"help": help, "commands": commands or COMMANDS, "flag": flag})
+    return field(**kw, metadata={"help": help, "commands": commands or COMMANDS})
 
 
 @dataclass
@@ -64,12 +64,11 @@ class RunConfig:
     reg_covar: float = _setting(GmmConfig.reg_covar, "variance floor", "sweep")
     jobs: int = _setting(1, "worker threads for independent fits", "sweep", "stability")
     fraction: float = _setting(PerturbationSpec.fraction, "subsample fraction", "stability")
-    repetitions: int = _setting(PerturbationSpec.repetitions, "subsample repetitions", "stability",
-                                flag="--reps")
+    reps: int = _setting(PerturbationSpec.repetitions, "subsample repetitions", "stability")
     seed_lo: int = _setting(PerturbationSpec.seed_range[0], "first comparison seed", "stability")
     seed_hi: int = _setting(PerturbationSpec.seed_range[1], "last comparison seed", "stability")
     kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
-    threshold: str = _setting("150", "minimum edge flow: int, fraction, or 'x%%'", "sankey")
+    threshold: str = _setting("150", "minimum edge flow: a count, or 'x%%' of the items", "sankey")
     names: str | None = _setting(None, "name table CSV for node labels", "sankey")
     texts: str | None = _setting(None, "CSV of id,text rows aligned with the input", "name")
     backend_url: str | None = _setting(None, "naming service endpoint", "name")
@@ -110,13 +109,13 @@ class RunConfig:
     @cached_property
     def specs(self) -> list[PerturbationSpec]:
         """One protocol spec per entry of ``kinds``."""
-        kw = dict(fraction=self.fraction, repetitions=self.repetitions,
+        kw = dict(fraction=self.fraction, repetitions=self.reps,
                   seed_range=(self.seed_lo, self.seed_hi))
         return [PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
 
 
 def parse_threshold(text: str, n: int) -> int:
-    """A nonnegative count ("150"), or a percentage ("0.5%", <= 100) or fraction ("0.005") of n."""
+    """A nonnegative count ("150") or a percentage of n ("0.5%", <= 100)."""
     s = str(text).strip()
     try:
         if s.endswith("%"):
@@ -124,17 +123,12 @@ def parse_threshold(text: str, n: int) -> int:
             if not (0.0 <= percent <= 100.0):
                 raise ValueError
             return round(percent / 100.0 * n)
-        if "." in s or "e" in s.lower():
-            frac = float(s)
-            if not (0.0 <= frac <= 1.0):
-                raise ValueError
-            return round(frac * n)
         value = int(s)
         if value < 0:
             raise ValueError
         return value
     except ValueError:
-        raise ValueError(f"bad threshold {text!r}: expected an int, a fraction, or 'x%'")
+        raise ValueError(f"bad threshold {text!r}: expected a count or a percentage 'x%'")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -329,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
             if f.type.startswith("list["):
                 kwargs.update(nargs="+", choices=list(KIND_TOKENS))
-            flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, default=None, help=f.metadata["help"], **kwargs)
+            p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                           help=f.metadata["help"], **kwargs)
     return parser
 
 

@@ -209,24 +209,6 @@ def build_contingency(a: Partition, b: Partition) -> ContingencyTable:
     return ContingencyTable(cells.reshape(a.k_declared, b.k_declared))
 
 
-def intersect_partitions(a: Partition, b: Partition) -> tuple[Partition, Partition]:
-    """Restrict both partitions to their shared ids, in ``a``'s order.
-
-    Labels keep their original values; only the item sets shrink.
-
-    Raises:
-        ClusterSweepError: if no ids are shared.
-    """
-    b_pos = {item: i for i, item in enumerate(b.ids)}
-    a_idx = [i for i, item in enumerate(a.ids) if item in b_pos]
-    if not a_idx:
-        raise ClusterSweepError("partitions share no ids")
-    shared_ids = tuple(a.ids[i] for i in a_idx)
-    b_idx = [b_pos[item] for item in shared_ids]
-    return (Partition(a.k_declared, a.labels[a_idx], shared_ids),
-            Partition(b.k_declared, b.labels[b_idx], shared_ids))
-
-
 def _check_ids(ids: Sequence[str], path: Path) -> None:
     """Hold every id to the id rule of every file format, or raise ParseError.
 
@@ -257,7 +239,8 @@ def _is_float(token: str) -> bool:
 def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
     """Load an embedding matrix from a CSV or binary file.
 
-    CSV layout: optional header row, optional id column (detected when the
+    CSV layout: optional header row (the first row, when its first cell is "id"
+    or a later cell is not numeric), optional id column (detected when the
     header's first cell is "id" or, headerless, when the first field is not
     numeric). Missing ids are synthesized as "0".."n-1".
 
@@ -265,7 +248,7 @@ def load_embeddings(path: str | Path, format: str = "csv") -> EmbeddingMatrix:
         ParseError: malformed row or empty file.
         NonFiniteValue: NaN/inf entry, with its (row, column) location in
             data coordinates.
-        DimensionMismatch: ragged rows.
+        DimensionMismatch: ragged rows, or no value column.
     """
     path = Path(path)
     if format == "csv":
@@ -282,14 +265,16 @@ def _load_csv(path: Path) -> EmbeddingMatrix:
         raise ParseError(f"{path}: empty file")
 
     first = lines[0].split(",")
-    has_header = not all(map(_is_float, first[1:] if len(first) > 1 else first))
+    named_ids = first[0].strip().lower() == "id"
+    has_header = named_ids or not all(map(_is_float, first[1:] if len(first) > 1 else first))
     data_lines = lines[1:] if has_header else lines
     if not data_lines:
         raise ParseError(f"{path}: no data rows")
-    has_ids = (first[0].strip().lower() == "id" if has_header
-               else not _is_float(data_lines[0].partition(",")[0]))
+    has_ids = named_ids if has_header else not _is_float(data_lines[0].partition(",")[0])
 
     width = data_lines[0].count(",") + 1
+    if width == has_ids:
+        raise DimensionMismatch(f"{path}: no value columns, only ids")
     for r, line in enumerate(data_lines):
         if line.count(",") + 1 != width:
             raise DimensionMismatch(
@@ -329,6 +314,8 @@ def _load_binary(path: Path) -> EmbeddingMatrix:
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
     n, d = struct.unpack_from("<QQ", raw, 5)
+    if d == 0:
+        raise DimensionMismatch(f"{path}: no value columns (d = 0)")
     offset = 21
     nbytes = n * d * 8
     if len(raw) < offset + nbytes:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import gmm
-from .data import EmbeddingMatrix, Partition, _readonly, intersect_partitions, write_text
+from .data import EmbeddingMatrix, Partition, _readonly, write_text
 from .metrics import ami
 from .pipeline import Archive, _fit_each_k
 
@@ -136,13 +136,19 @@ def row_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> Stab
     """AMI of fits on random row subsets against the sweep's full-data fits.
 
     The subsample partition is compared with the sweep's partition restricted
-    to the sampled ids, so both sides cover the same items.
+    to the sampled ids, found by id, so both sides cover the same items.
     """
+
+    def compare(part: Partition, ref: Partition) -> float:
+        pos = {item: i for i, item in enumerate(ref.ids)}
+        rows = [pos[item] for item in part.ids]
+        return ami(part, Partition(ref.k_declared, ref.labels[rows], part.ids)).ami
+
     return _run(
         "row_subsample", sweep, spec, jobs, range(spec.repetitions),
         lambda r, n_rows: (sweep.data.subset_rows(_subsample(r, sweep.data.n, n_rows)),
                            sweep.base),
-        lambda part, ref: ami(*intersect_partitions(part, ref)).ami,
+        compare,
     )
 
 

@@ -78,15 +78,13 @@ class TestThresholdParsing:
     def test_percentage(self):
         assert parse_threshold("0.5%", 30000) == 150
 
-    def test_fraction(self):
-        assert parse_threshold("0.005", 30000) == 150
-
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_threshold("many", 100)
         with pytest.raises(ValueError):
             parse_threshold("-3", 100)
-        for text in ("inf%", "-5%", "150%"):
+        # A fraction is written as a percentage: "0.005" is "0.5%".
+        for text in ("inf%", "-5%", "150%", "0.005", "1.0", "1e3"):
             with pytest.raises(ValueError, match="bad threshold"):
                 parse_threshold(text, 100)
 
@@ -98,7 +96,7 @@ class TestConfigResolution:
         assert config.k_min == 1 and config.k_max == 20
         assert config.seed == 0 and config.max_iter == 2000
         assert config.tol == 1e-3 and config.reg_covar == 1e-6
-        assert config.fraction == 0.8 and config.repetitions == 100
+        assert config.fraction == 0.8 and config.reps == 100
         assert (config.seed_lo, config.seed_hi) == (1, 100)
         assert config.threshold == "150"
 
@@ -140,7 +138,9 @@ class TestConfigResolution:
         ({"kinds": ["nope"]}, ["kinds", "'nope'"]),
         ({"jobs": 0}, ["jobs"]),
         ({"format": "xml"}, ["format", "'xml'"]),
-        ({"repetitions": 0}, ["repetitions"]),
+        ({"reps": 0}, ["repetitions"]),
+        # A config.json written while the key for --reps was repetitions.
+        ({"repetitions": 100}, ["run.json", "'repetitions'"]),
         ({"k_min": 0}, ["k-min"]),
     ])
     def test_ill_typed_config_exits_1(self, tmp_path, capsys, doc, named):
@@ -192,7 +192,7 @@ class TestParser:
             "list[str]": (["rows", "seeds"], ["rows", "seeds"]),
         }
         for f in fields(RunConfig):
-            flag = "--reps" if f.name == "repetitions" else "--" + f.name.replace("_", "-")
+            flag = "--" + f.name.replace("_", "-")
             values, expected = samples[f.type]
             assert f.metadata["commands"], f.name
             for command in f.metadata["commands"]:
@@ -248,6 +248,17 @@ class TestSweepCommand:
             "--k-min", "5", "--k-max", "2", "--out", str(tmp_path / "o"),
         ])
         assert code == 1  # config error beats the missing file
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no input file given (--input or config file)"),
+        (["--input", "{two_rows}", "--k-max", "5"], "n=2 rows cannot support k_max=5"),
+    ], ids=["no-input", "k-max-above-n"])
+    def test_no_input_or_too_few_rows_exits_1(self, tmp_path, capsys, argv, message):
+        (tmp_path / "two.csv").write_text("id,e0\na,1.0\nb,2.0\n")
+        argv = [a.format(two_rows=tmp_path / "two.csv") for a in argv]
+        assert main(["sweep", "--out", str(tmp_path / "o"), *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_1_naming_it_before_any_fit(
         self, fixture_dir, tmp_path, capsys, monkeypatch
@@ -492,6 +503,22 @@ class TestStabilityCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(out.glob("stability_*"))
 
+    def test_rows_curve_ignores_the_row_order_of_partition_files(self, fixture_dir, tmp_path):
+        # A refit is scored against the sweep's labels of its own ids, found by id.
+        out, reordered = tmp_path / "run", tmp_path / "reordered"
+        assert sweep_loose(fixture_dir, out) == 0
+        shutil.copytree(out, reordered)
+        for k in range(2, 9):  # partition_1.csv must list input.bin's order
+            path = reordered / f"partition_{k}.csv"
+            header, *rows = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(reversed(rows)))
+        for archive in (out, reordered):
+            assert main(["stability", "--out", str(archive), "--k-max", "8", "--kinds", "rows",
+                         "--reps", "2"]) == 0
+        curve = (out / "stability_rows.json").read_bytes()
+        assert (reordered / "stability_rows.json").read_bytes() == curve
+        assert json.loads(curve)["mean_ami"][1:] != [1.0] * 7  # the labels are not trivial
+
     def test_input_remembered_from_archive(self, fixture_dir, tmp_path):
         # The refits use input.bin, whatever the sweep's input file holds later.
         emb = tmp_path / "emb.csv"
@@ -646,7 +673,7 @@ class TestSankeyCommand:
     def test_fractional_threshold_matches_recomputation(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
         run_sweep_once(fixture_dir, out)
-        main(["sankey", "--out", str(out), "--threshold", "0.05"])
+        main(["sankey", "--out", str(out), "--threshold", "5%"])
         doc = json.loads((out / "graph.json").read_text())
         # Recompute the retained edge set from the partition files.
         parts = {k: load_partition(out / f"partition_{k}.csv", k) for k in range(1, 6)}
@@ -740,6 +767,7 @@ class TestSankeyCommand:
     @pytest.mark.parametrize("row, message", [
         (b"x,0,5,foo,fallback", "names.csv: row 1: k and cluster must be integers"),
         (b"2,0,\xff,\xff,fallback", "names.csv: not UTF-8"),
+        (b"2,0,a", "names.csv: row 1: short name-table row"),
     ])
     def test_bad_name_table_exits_2(self, fixture_dir, tmp_path, capsys, row, message):
         out = tmp_path / "run"
@@ -911,6 +939,20 @@ class TestNameCommand:
         assert code == 0
         assert (out / "names.csv").read_bytes() == offline
         assert len(http_stub.posts) == len(offline.splitlines()) - 1
+
+    def test_numeric_response_field_falls_back_for_its_cluster(
+        self, fixture_dir, tmp_path, caplog, http_stub
+    ):
+        out = tmp_path / "run"
+        run_sweep_once(fixture_dir, out)
+        http_stub.replies = [(200, b'{"name": 42}'), (200, b'{"name": "Stub"}')]
+        with caplog.at_level(logging.WARNING, logger="clustersweep.naming"):
+            assert main(["name", "--out", str(out), "--texts", str(fixture_dir / "texts.csv"),
+                         "--backend-url", http_stub.url]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.name == "clustersweep.naming"]
+        assert len(warnings) == 1 and "field 'name' is not text" in warnings[0], warnings
+        rows = (out / "names.csv").read_text().splitlines()[1:]
+        assert [row.endswith(",fallback") for row in rows].count(True) == 1
 
     def test_missing_text_ids_reported(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -1101,14 +1143,20 @@ class TestDocumentedErrors:
         ("run.json", None, ["sweep", "--config", "{file}"], 2, "config file not found: {file}"),
         ("run.json", b'{"k_max": 3,', ["sweep", "--config", "{file}"], 1,
          "{file}: invalid config JSON"),
+        ("emb.csv", b"id\na\nb\n", SWEEP, 2, "{file}: no value columns"),
+        ("emb.bin", b"CSEM" + struct.pack("<BQQ", 1, 2, 0) + b"a\nb", SWEEP_BIN, 2,
+         "{file}: no value columns"),
         ("texts.csv", b"ident,text\n0,moon\n",
          ["name", "--out", "{out}", "--fallback", "--texts", "{file}"], 2,
          "{file}: texts file must be a CSV with an 'id,text' header"),
+        ("emoji.json", b"{fire",
+         ["name", "--out", "{out}", "--fallback", "--texts", "{texts}", "--emoji-map", "{file}"],
+         2, "{file}: invalid emoji map JSON"),
     ], ids=["partition-missing", "partition-other-ids", "partition-empty", "csv-empty",
             "csv-header-only", "bin-version", "bin-truncated", "config-missing",
-            "config-bad-json", "texts-header"])
+            "config-bad-json", "csv-ids-only", "bin-d-0", "texts-header", "emoji-map-not-json"])
     def test_exits_with_its_code_naming_the_file(
-        self, archive, tmp_path, capsys, file, content, argv, code, message
+        self, fixture_dir, archive, tmp_path, capsys, file, content, argv, code, message
     ):
         out = tmp_path / "run"
         shutil.copytree(archive, out)
@@ -1118,7 +1166,8 @@ class TestDocumentedErrors:
         else:
             path.write_bytes(content)
         capsys.readouterr()
-        assert main([a.format(file=path, out=out) for a in argv]) == code
+        texts = fixture_dir / "texts.csv"
+        assert main([a.format(file=path, out=out, texts=texts) for a in argv]) == code
         assert message.format(file=path, out=out) in capsys.readouterr().err
 
 

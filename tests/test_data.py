@@ -13,7 +13,6 @@ from clustersweep.data import (
     ContingencyTable,
     EmbeddingMatrix,
     build_contingency,
-    intersect_partitions,
     load_embeddings,
     load_partition,
     save_embeddings,
@@ -132,29 +131,6 @@ class TestBuildContingency:
         assert t.total == 6
 
 
-class TestIntersectPartitions:
-    def test_identical_ids_unchanged(self):
-        a = make_partition([0, 1, 0, 1, 0], ids="abcde")
-        b = make_partition([1, 1, 0, 0, 1], ids="abcde")
-        ra, rb = intersect_partitions(a, b)
-        assert ra.ids == rb.ids == tuple("abcde")
-        assert np.array_equal(ra.labels, a.labels)
-
-    def test_subset(self):
-        a = make_partition([0, 1, 0, 1, 0], ids="abcde")
-        b = make_partition([1, 0, 1], ids="bcd")
-        ra, rb = intersect_partitions(a, b)
-        assert ra.ids == rb.ids == ("b", "c", "d")
-        assert ra.labels.tolist() == [1, 0, 1]
-        assert rb.labels.tolist() == [1, 0, 1]
-
-    def test_disjoint_ids(self):
-        a = make_partition([0, 1], ids=("a", "b"))
-        b = make_partition([0, 1], ids=("c", "d"))
-        with pytest.raises(ClusterSweepError, match="partitions share no ids"):
-            intersect_partitions(a, b)
-
-
 class TestEmbeddingIO:
     def test_csv_with_header_and_ids(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -163,6 +139,15 @@ class TestEmbeddingIO:
         assert m.n == 3 and m.d == 2
         assert m.ids == ("r0", "r1", "r2")
         assert m.values[1, 0] == 3.5
+
+    @pytest.mark.parametrize("header", ["id,0,1", " ID ,0,1"])
+    def test_csv_header_starting_with_id_is_a_header(self, tmp_path, header):
+        # pandas writes integer column names under to_csv(index_label="id").
+        p = tmp_path / "e.csv"
+        p.write_text(f"{header}\nr0,1.5,2.5\nr1,3.5,4.5\n")
+        m = load_embeddings(p, "csv")
+        assert m.ids == ("r0", "r1")
+        assert m.values.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
     def test_csv_headerless_no_ids(self, tmp_path):
         p = tmp_path / "e.csv"
