@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -23,12 +24,10 @@ from . import naming, pipeline, sankey, stability
 from .data import json_fits, load_embeddings, read_csv_rows, read_text, scalar_type, write_text
 from .errors import BackendUnavailable, ClusterSweepError, NumericFailure, ParseError
 from .gmm import GmmConfig
-from .stability import PerturbationSpec
+from .stability import KINDS, PerturbationSpec
 
 # RunConfig fields that set a fit; each is also a GmmConfig field of that name.
 FIT_SETTINGS = tuple(f.name for f in fields(GmmConfig) if f.name != "k")
-
-KIND_TOKENS = {token: kind for kind, token in stability.KINDS.items()}
 
 COMMANDS = ("sweep", "stability", "sankey", "name")
 
@@ -64,10 +63,10 @@ class RunConfig:
     reg_covar: float = _setting(GmmConfig.reg_covar, "variance floor", "sweep")
     jobs: int = _setting(1, "worker threads for independent fits", "sweep", "stability")
     fraction: float = _setting(PerturbationSpec.fraction, "subsample fraction", "stability")
-    reps: int = _setting(PerturbationSpec.repetitions, "subsample repetitions", "stability")
-    seed_lo: int = _setting(PerturbationSpec.seed_range[0], "first comparison seed", "stability")
-    seed_hi: int = _setting(PerturbationSpec.seed_range[1], "last comparison seed", "stability")
-    kinds: list[str] = _setting(lambda: list(KIND_TOKENS), "protocols to run", "stability")
+    reps: int = _setting(PerturbationSpec.reps, "subsample repetitions", "stability")
+    seed_lo: int = _setting(PerturbationSpec.seed_lo, "first comparison seed", "stability")
+    seed_hi: int = _setting(PerturbationSpec.seed_hi, "last comparison seed", "stability")
+    kinds: list[str] = _setting(lambda: [*KINDS.values()], "protocols to run", "stability")
     threshold: str = _setting("150", "minimum edge flow: a count, or 'x%%' of the items", "sankey")
     names: str | None = _setting(None, "name table CSV for node labels", "sankey")
     texts: str | None = _setting(None, "CSV of id,text rows aligned with the input", "name")
@@ -85,7 +84,7 @@ class RunConfig:
     explicit = frozenset()
 
     def validate(self) -> None:
-        """Check what building ``base`` (GmmConfig) and ``specs`` (PerturbationSpec) does not."""
+        """Check what building ``base`` (GmmConfig) and ``spec`` (PerturbationSpec) does not."""
         if self.format not in ("csv", "bin"):
             raise ValueError(f"format must be csv or bin, got {self.format!r}")
         if self.k_min < 1:
@@ -94,7 +93,7 @@ class RunConfig:
             raise ValueError(f"k-max ({self.k_max}) < k-min ({self.k_min})")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        unknown = [k for k in self.kinds if k not in KIND_TOKENS]
+        unknown = [k for k in self.kinds if k not in KINDS.values()]
         if unknown:
             raise ValueError(f"unknown stability kinds: {unknown}")
         repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
@@ -107,28 +106,19 @@ class RunConfig:
         return GmmConfig(k=self.k_min, **{name: getattr(self, name) for name in FIT_SETTINGS})
 
     @cached_property
-    def specs(self) -> list[PerturbationSpec]:
-        """One protocol spec per entry of ``kinds``."""
-        kw = dict(fraction=self.fraction, repetitions=self.reps,
-                  seed_range=(self.seed_lo, self.seed_hi))
-        return [PerturbationSpec(KIND_TOKENS[token], **kw) for token in self.kinds]
+    def spec(self) -> PerturbationSpec:
+        """The protocol settings, which every entry of ``kinds`` shares."""
+        return PerturbationSpec(**{f.name: getattr(self, f.name) for f in fields(PerturbationSpec)})
 
 
 def parse_threshold(text: str, n: int) -> int:
-    """A nonnegative count ("150") or a percentage of n ("0.5%", <= 100)."""
+    """A count of ASCII digits ("150") or a percentage of n ("0.5%", <= 100), spaces stripped."""
     s = str(text).strip()
-    try:
-        if s.endswith("%"):
-            percent = float(s[:-1])
-            if not (0.0 <= percent <= 100.0):
-                raise ValueError
-            return round(percent / 100.0 * n)
-        value = int(s)
-        if value < 0:
-            raise ValueError
-        return value
-    except ValueError:
-        raise ValueError(f"bad threshold {text!r}: expected a count or a percentage 'x%'")
+    if re.fullmatch("[0-9]+", s):
+        return int(s)
+    if re.fullmatch(r"([0-9]+\.?[0-9]*|\.[0-9]+)%", s) and float(s[:-1]) <= 100.0:
+        return round(float(s[:-1]) / 100.0 * n)
+    raise ValueError(f"bad threshold {text!r}: expected a count or a percentage 'x%'")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -158,7 +148,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**given)
     config.explicit = frozenset(given)
     config.validate()
-    config.base, config.specs  # building them checks the fit and protocol settings
+    config.base, config.spec  # building them checks the fit and protocol settings
     return config
 
 
@@ -208,15 +198,15 @@ def cmd_stability(config: RunConfig) -> int:
         )
     _archived_fit_settings(config, archive)  # the refits use archive.base
     sweep = replace(archive, k_min=config.k_min, k_max=config.k_max)
-    for spec in config.specs:  # every kind's fraction, before the first refit
-        stability._draw_size(spec, sweep)
+    for token in config.kinds:  # every kind's fraction, before the first refit
+        stability._draw_size(token, config.spec, sweep)
 
     # The combined file holds this run's kinds only, and only once every kind has run.
     combined = out / "stability_combined.csv"
     combined.unlink(missing_ok=True)
     curves = []
-    for token, spec in zip(config.kinds, config.specs):
-        curve = stability.run_protocol(sweep, spec, jobs=config.jobs)
+    for token in config.kinds:
+        curve = stability.run_protocol(token, sweep, config.spec, jobs=config.jobs)
         stability.write_curve(curve, out)
         print(f"{token}: wrote {out / f'stability_{token}.csv'}", file=sys.stderr)
         curves.append(curve)
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
             kind = scalar_type(f.type)
             kwargs = {"action": "store_true"} if kind is bool else {"type": kind}
             if f.type.startswith("list["):
-                kwargs.update(nargs="+", choices=list(KIND_TOKENS))
+                kwargs.update(nargs="+", choices=[*KINDS.values()])
             p.add_argument("--" + f.name.replace("_", "-"), default=None,
                            help=f.metadata["help"], **kwargs)
     return parser

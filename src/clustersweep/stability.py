@@ -28,27 +28,22 @@ KINDS = {"dimension_subsample": "dimensions", "row_subsample": "rows", "seed_var
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """What to perturb and how often."""
+    """Every kind's settings: ``fraction`` subsamples ``reps`` times, or seeds seed_lo..seed_hi."""
 
-    kind: str
     fraction: float = 0.8
-    repetitions: int = 100
-    seed_range: tuple[int, int] = (1, 100)
+    reps: int = 100
+    seed_lo: int = 1
+    seed_hi: int = 100
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown perturbation kind: {self.kind!r}")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError("fraction must lie in (0, 1]")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.seed_range[0] < 0:
-            raise ValueError(f"seeds must be >= 0, got seed_range {self.seed_range}")
-        if self.seed_range[1] < self.seed_range[0]:
-            raise ValueError("empty seed_range")
-
-    def seeds(self) -> range:
-        return range(self.seed_range[0], self.seed_range[1] + 1)
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        if self.seed_lo < 0:
+            raise ValueError(f"seed_lo must be >= 0, got {self.seed_lo}")
+        if self.seed_hi < self.seed_lo:
+            raise ValueError(f"seed_hi ({self.seed_hi}) < seed_lo ({self.seed_lo})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +79,7 @@ def _run(
     default by their AMI. K=1 scores 1.0 by convention, unfitted; the other K
     go through ``_fit_each_k``.
     """
-    if spec.kind != kind:
-        raise ValueError(f"spec.kind must be {kind}, got {spec.kind!r}")
-    size = _draw_size(spec, sweep)
+    size = _draw_size(KINDS[kind], spec, sweep)
     ks = range(sweep.k_min, sweep.k_max + 1)
     fit_ks = [k for k in ks if k > 1]
     rep = "seed" if kind == "seed_variation" else "repetition"
@@ -105,20 +98,18 @@ def _subsample(r: int, n: int, size: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _draw_size(spec: PerturbationSpec, sweep: Archive) -> int:
-    """The columns (dimension_subsample) or rows a draw keeps; too few raise ValueError."""
+def _draw_size(token: str, spec: PerturbationSpec, sweep: Archive) -> int:
+    """The columns (token "dimensions") or rows a draw keeps; too few raise ValueError."""
     data = sweep.data
-    size = int(spec.fraction * (data.d if spec.kind == "dimension_subsample" else data.n))
-    if spec.kind == "dimension_subsample" and size < 1:
+    size = int(spec.fraction * (data.d if token == "dimensions" else data.n))
+    if token == "dimensions" and size < 1:
         raise ValueError(f"fraction {spec.fraction} keeps no columns of d={data.d}")
-    if spec.kind == "row_subsample" and size < sweep.k_max:
+    if token == "rows" and size < sweep.k_max:
         raise ValueError(f"fraction {spec.fraction} keeps {size} rows < k_max={sweep.k_max}")
     return size
 
 
-def dimension_stability(
-    sweep: Archive, spec: PerturbationSpec, jobs: int = 1
-) -> StabilityCurve:
+def dimension_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits on random dimension subsets against the sweep's full-dimension fits.
 
     Each repetition draws floor(fraction * d) distinct columns (kept in
@@ -126,7 +117,7 @@ def dimension_stability(
     sweep's partition at the same K. K=1 is 1.0 by convention.
     """
     return _run(
-        "dimension_subsample", sweep, spec, jobs, range(spec.repetitions),
+        "dimension_subsample", sweep, spec, jobs, range(spec.reps),
         lambda r, n_cols: (sweep.data.subset_columns(_subsample(r, sweep.data.d, n_cols)),
                            sweep.base),
     )
@@ -145,7 +136,7 @@ def row_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> Stab
         return ami(part, Partition(ref.k_declared, ref.labels[rows], part.ids)).ami
 
     return _run(
-        "row_subsample", sweep, spec, jobs, range(spec.repetitions),
+        "row_subsample", sweep, spec, jobs, range(spec.reps),
         lambda r, n_rows: (sweep.data.subset_rows(_subsample(r, sweep.data.n, n_rows)),
                            sweep.base),
         compare,
@@ -155,19 +146,19 @@ def row_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> Stab
 def seed_stability(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
     """AMI of fits under alternative seeds against the sweep's base-seed fits."""
     return _run(
-        "seed_variation", sweep, spec, jobs, spec.seeds(),
+        "seed_variation", sweep, spec, jobs, range(spec.seed_lo, spec.seed_hi + 1),
         lambda seed, _: (sweep.data, replace(sweep.base, seed=seed)),
     )
 
 
-def run_protocol(sweep: Archive, spec: PerturbationSpec, jobs: int = 1) -> StabilityCurve:
-    """Dispatch to the protocol named by ``spec.kind``."""
-    fn = {
-        "dimension_subsample": dimension_stability,
-        "row_subsample": row_stability,
-        "seed_variation": seed_stability,
-    }[spec.kind]
-    return fn(sweep, spec, jobs)
+def run_protocol(
+    token: str, sweep: Archive, spec: PerturbationSpec, jobs: int = 1
+) -> StabilityCurve:
+    """Run the protocol that ``token``, a --kinds token (dimensions, rows or seeds), names."""
+    protocols = {"dimensions": dimension_stability, "rows": row_stability, "seeds": seed_stability}
+    if token not in protocols:
+        raise ValueError(f"unknown stability kind: {token!r}")
+    return protocols[token](sweep, spec, jobs)
 
 
 def write_curve(curve: StabilityCurve, out_dir: str | Path) -> None:

@@ -192,15 +192,15 @@ def test_criterion_04_single_level_stability_protocols(four_blobs):
 
         dim = dimension_stability(
             sweep,
-            PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=25),
+            PerturbationSpec(fraction=0.8, reps=25),
         )
         rows = row_stability(
             sweep,
-            PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=25),
+            PerturbationSpec(fraction=0.8, reps=25),
         )
         seeds = seed_stability(
             sweep,
-            PerturbationSpec(kind="seed_variation", seed_range=(1, 25)),
+            PerturbationSpec(seed_lo=1, seed_hi=25),
         )
         assert dim.k_values[k4] == 4
         assert dim.mean_ami[k4] >= 0.95, f"dimension protocol: {dim.mean_ami[k4]}"
@@ -209,15 +209,15 @@ def test_criterion_04_single_level_stability_protocols(four_blobs):
 
         dim_control = dimension_stability(
             sweep,
-            PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3),
+            PerturbationSpec(fraction=1.0, reps=3),
         )
         row_control = row_stability(
             sweep,
-            PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3),
+            PerturbationSpec(fraction=1.0, reps=3),
         )
         seed_control = seed_stability(
             sweep,
-            PerturbationSpec(kind="seed_variation", seed_range=(0, 0)),
+            PerturbationSpec(seed_lo=0, seed_hi=0),
         )
         for control in (dim_control, row_control, seed_control):
             assert all(m == 1.0 for m in control.mean_ami)

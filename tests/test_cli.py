@@ -74,9 +74,13 @@ def curve_means(path):
 class TestThresholdParsing:
     def test_absolute(self):
         assert parse_threshold("150", 30000) == 150
+        assert parse_threshold(" 150 ", 30000) == 150
+        assert parse_threshold("0", 30000) == 0
 
     def test_percentage(self):
         assert parse_threshold("0.5%", 30000) == 150
+        assert parse_threshold("5%", 600) == 30
+        assert parse_threshold("100%", 600) == 600
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -84,7 +88,9 @@ class TestThresholdParsing:
         with pytest.raises(ValueError):
             parse_threshold("-3", 100)
         # A fraction is written as a percentage: "0.005" is "0.5%".
-        for text in ("inf%", "-5%", "150%", "0.005", "1.0", "1e3"):
+        # A count is ASCII digits; a percentage ASCII digits with at most one point.
+        for text in ("inf%", "-5%", "150%", "0.005", "1.0", "1e3",
+                     "+5", "1_000", "\u0663", "\u0663%", "1_0%", "+5%", "1e1%"):
             with pytest.raises(ValueError, match="bad threshold"):
                 parse_threshold(text, 100)
 
@@ -138,7 +144,7 @@ class TestConfigResolution:
         ({"kinds": ["nope"]}, ["kinds", "'nope'"]),
         ({"jobs": 0}, ["jobs"]),
         ({"format": "xml"}, ["format", "'xml'"]),
-        ({"reps": 0}, ["repetitions"]),
+        ({"reps": 0}, ["reps must be >= 1"]),
         # A config.json written while the key for --reps was repetitions.
         ({"repetitions": 100}, ["run.json", "'repetitions'"]),
         ({"k_min": 0}, ["k-min"]),
@@ -335,7 +341,13 @@ class TestStabilityCommand:
             "stability", "--out", str(out), "--k-max", "4", "--kinds", "dimensions", "seeds",
             "--reps", "2", "--seed-lo", "-1", "--seed-hi", "0",
         ]) == 1
-        assert "seeds must be >= 0, got seed_range (-1, 0)" in capsys.readouterr().err
+        assert "seed_lo must be >= 0, got -1" in capsys.readouterr().err
+        # An empty seed range names both keys, as given.
+        assert main([
+            "stability", "--out", str(out), "--k-max", "4", "--kinds", "dimensions", "seeds",
+            "--reps", "2", "--seed-lo", "3", "--seed-hi", "2",
+        ]) == 1
+        assert "seed_hi (2) < seed_lo (3)" in capsys.readouterr().err
         assert fits == []
         assert not list(out.glob("stability_*"))
 

@@ -24,18 +24,11 @@ from conftest import failing_fit, make_blobs, spread_centers
 
 BASE = GmmConfig(k=1)
 
-# One spec per kind that perturbs, and one control per kind that must score
-# exactly 1.0: fraction=1.0 for the subsample kinds, the base seed for seeds.
-PERTURBED = [
-    PerturbationSpec(kind="dimension_subsample", fraction=0.6, repetitions=4),
-    PerturbationSpec(kind="row_subsample", fraction=0.6, repetitions=4),
-    PerturbationSpec(kind="seed_variation", seed_range=(1, 4)),
-]
-CONTROLS = [
-    PerturbationSpec(kind="dimension_subsample", fraction=1.0, repetitions=3),
-    PerturbationSpec(kind="row_subsample", fraction=1.0, repetitions=3),
-    PerturbationSpec(kind="seed_variation", seed_range=(0, 0)),
-]
+# One spec that perturbs every kind, and one control under which every kind
+# must score exactly 1.0: fraction=1.0 for the subsample kinds, the base seed for seeds.
+PERTURBED = PerturbationSpec(fraction=0.6, reps=4, seed_lo=1, seed_hi=4)
+CONTROL = PerturbationSpec(fraction=1.0, reps=3, seed_lo=0, seed_hi=0)
+ALL_KINDS = pytest.mark.parametrize("kind", list(stability.KINDS))
 
 
 @pytest.fixture(scope="module")
@@ -59,45 +52,47 @@ def sweep(small_blobs):
 class TestPerturbationSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PerturbationSpec(kind="bogus")
-        with pytest.raises(ValueError):
-            PerturbationSpec(kind="row_subsample", fraction=0.0)
-        with pytest.raises(ValueError):
-            PerturbationSpec(kind="seed_variation", seed_range=(5, 2))
-        with pytest.raises(ValueError, match="seeds must be >= 0"):
-            PerturbationSpec(kind="seed_variation", seed_range=(-1, 0))
+            PerturbationSpec(fraction=0.0)
+        with pytest.raises(ValueError, match=re.escape("seed_hi (2) < seed_lo (5)")):
+            PerturbationSpec(seed_lo=5, seed_hi=2)
+        with pytest.raises(ValueError, match="seed_lo must be >= 0, got -1"):
+            PerturbationSpec(seed_lo=-1, seed_hi=0)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            PerturbationSpec(reps=0)
 
     def test_kind_checked_by_protocol(self, sweep):
-        spec = PerturbationSpec(kind="row_subsample")
-        with pytest.raises(ValueError):
-            dimension_stability(sweep(1, 2), spec)
+        # The kind is the protocol called: a token run_protocol does not know is named.
+        with pytest.raises(ValueError, match="unknown stability kind: 'bogus'"):
+            run_protocol("bogus", sweep(1, 2), PerturbationSpec())
 
 
 class TestAllKinds:
-    @pytest.mark.parametrize("spec", CONTROLS, ids=lambda spec: spec.kind)
-    def test_control_is_exactly_one(self, sweep, spec):
-        curve = run_protocol(sweep(1, 5), spec)
+    @ALL_KINDS
+    def test_control_is_exactly_one(self, sweep, kind):
+        curve = run_protocol(stability.KINDS[kind], sweep(1, 5), CONTROL)
+        assert curve.kind == kind
         assert curve.mean_ami == (1.0,) * 5
         assert curve.std_ami == (0.0,) * 5
-        assert curve.per_rep.shape == (1 if spec.kind == "seed_variation" else 3, 5)
+        assert curve.per_rep.shape == (1 if kind == "seed_variation" else 3, 5)
 
-    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
-    def test_jobs_do_not_change_results(self, sweep, spec, monkeypatch):
+    @ALL_KINDS
+    def test_jobs_do_not_change_results(self, sweep, kind, monkeypatch):
         # Above K=3 the three blobs split differently per repetition, so
         # repetitions or Ks joined out of order would show.
         draws = []
-        if spec.kind == "seed_variation":
-            reps = list(spec.seeds())
+        spec, token = PERTURBED, stability.KINDS[kind]
+        if kind == "seed_variation":
+            reps = list(range(spec.seed_lo, spec.seed_hi + 1))
             monkeypatch.setattr(stability, "replace",
                                 lambda base, seed: draws.append(seed) or replace(base, seed=seed))
         else:
-            reps = list(range(spec.repetitions))
+            reps = list(range(spec.reps))
             subsample = stability._subsample
             monkeypatch.setattr(stability, "_subsample",
                                 lambda r, *a: draws.append(r) or subsample(r, *a))
         for k_range in ((1, 5), (3, 5)):
-            serial = run_protocol(sweep(*k_range), spec)
-            threaded = run_protocol(sweep(*k_range), spec, jobs=3)
+            serial = run_protocol(token, sweep(*k_range), spec)
+            threaded = run_protocol(token, sweep(*k_range), spec, jobs=3)
             assert np.array_equal(serial.per_rep, threaded.per_rep)
             assert serial.per_rep.shape == (len(reps), k_range[1] - k_range[0] + 1)
         # Each repetition is drawn once, not once per K.
@@ -107,65 +102,65 @@ class TestAllKinds:
         ("nan", NumericFailure, "non-finite log-likelihood at K=3 in {where}: nan"),
         ("raise", ClusterSweepError, "while fitting K=3 in {where}: synthetic failure"),
     ], ids=["nan", "raise"])
-    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
+    @ALL_KINDS
     def test_failed_refit_names_kind_repetition_and_k(
-        self, sweep, spec, failure, error, message, monkeypatch
+        self, sweep, kind, failure, error, message, monkeypatch
     ):
         reference = sweep(1, 5)
         monkeypatch.setattr("clustersweep.stability.gmm.fit", failing_fit(failure, k=3))
-        rep = "seed 1" if spec.kind == "seed_variation" else "repetition 0"
-        with pytest.raises(error, match=re.escape(message.format(where=f"{spec.kind} {rep}"))):
-            run_protocol(reference, spec, jobs=2)
+        rep = "seed 1" if kind == "seed_variation" else "repetition 0"
+        with pytest.raises(error, match=re.escape(message.format(where=f"{kind} {rep}"))):
+            run_protocol(stability.KINDS[kind], reference, PERTURBED, jobs=2)
 
 
 class TestDimensionStability:
     def test_k1_is_one_for_every_repetition(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.5, repetitions=4)
+        spec = PerturbationSpec(fraction=0.5, reps=4)
         curve = dimension_stability(sweep(1, 2), spec)
         assert (curve.per_rep[:, 0] == 1.0).all()
 
     def test_separated_blobs_stay_recoverable(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=6)
+        spec = PerturbationSpec(fraction=0.8, reps=6)
         curve = dimension_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.95
 
     def test_deterministic_per_rep(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.6, repetitions=3)
+        spec = PerturbationSpec(fraction=0.6, reps=3)
         c1 = dimension_stability(sweep(1, 3), spec)
         c2 = dimension_stability(sweep(1, 3), spec)
         assert np.array_equal(c1.per_rep, c2.per_rep)
 
     def test_fraction_too_small(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.01, repetitions=1)
+        spec = PerturbationSpec(fraction=0.01, reps=1)
         with pytest.raises(ValueError):
             dimension_stability(sweep(1, 2), spec)
 
 
 class TestRowStability:
     def test_separated_blobs(self, sweep):
-        spec = PerturbationSpec(kind="row_subsample", fraction=0.8, repetitions=6)
+        spec = PerturbationSpec(fraction=0.8, reps=6)
         curve = row_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.95
 
     def test_fraction_below_k(self, sweep):
-        spec = PerturbationSpec(kind="row_subsample", fraction=0.02, repetitions=1)
+        spec = PerturbationSpec(fraction=0.02, reps=1)
         with pytest.raises(ValueError):
             row_stability(sweep(1, 5), spec)
 
 
 class TestSeedStability:
     def test_k1_always_one(self, sweep):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 5))
+        spec = PerturbationSpec(seed_lo=1, seed_hi=5)
         curve = seed_stability(sweep(1, 1), spec)
         assert (curve.per_rep == 1.0).all()
 
     def test_separated_blobs_seed_insensitive(self, sweep):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 10))
+        spec = PerturbationSpec(seed_lo=1, seed_hi=10)
         curve = seed_stability(sweep(3, 3), spec)
         assert curve.mean_ami[0] >= 0.99
 
     def test_repetition_count_follows_seed_range(self, sweep):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 7))
+        spec = PerturbationSpec(seed_lo=1, seed_hi=7)
         curve = seed_stability(sweep(2, 3), spec)
         assert curve.per_rep.shape == (7, 2)
 
@@ -181,38 +176,38 @@ class TestReferencesAndAggregation:
             return real_fit(data, config, iteration_hook)
 
         monkeypatch.setattr("clustersweep.stability.gmm.fit", counting_fit)
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=2)
+        spec = PerturbationSpec(fraction=0.8, reps=2)
         dimension_stability(result, spec)
         # The sweep holds the references: only the refits run, 2 reps x K=2,3.
         assert sorted(calls) == [2, 2, 3, 3]
 
     def test_population_std(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.5, repetitions=1)
+        spec = PerturbationSpec(fraction=0.5, reps=1)
         curve = dimension_stability(sweep(1, 3), spec)
         assert curve.std_ami == (0.0, 0.0, 0.0)
 
     def test_per_rep_is_read_only(self, sweep):
         # A write to per_rep would leave mean_ami and std_ami describing other values.
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
+        spec = PerturbationSpec(seed_lo=1, seed_hi=2)
         curve = seed_stability(sweep(1, 2), spec)
         with pytest.raises(ValueError, match="read-only"):
             curve.per_rep[0, 0] = 0.5
 
     def test_ami_values_in_bounds(self, sweep):
-        spec = PerturbationSpec(kind="dimension_subsample", fraction=0.3, repetitions=5)
+        spec = PerturbationSpec(fraction=0.3, reps=5)
         curve = dimension_stability(sweep(1, 4), spec)
         assert (curve.per_rep >= -1.0).all() and (curve.per_rep <= 1.0 + 1e-9).all()
         assert all(0.0 <= m <= 1.0 + 1e-9 for m in curve.mean_ami)
 
     def test_run_protocol_dispatch(self, sweep):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
-        curve = run_protocol(sweep(1, 2), spec)
+        spec = PerturbationSpec(seed_lo=1, seed_hi=2)
+        curve = run_protocol("seeds", sweep(1, 2), spec)
         assert curve.kind == "seed_variation"
 
 
 class TestCurveExport:
     def _curve(self, sweep):
-        spec = PerturbationSpec(kind="seed_variation", seed_range=(1, 3))
+        spec = PerturbationSpec(seed_lo=1, seed_hi=3)
         return seed_stability(sweep(1, 3), spec)
 
     def test_csv(self, sweep, tmp_path):
@@ -240,11 +235,11 @@ class TestCurveExport:
         assert doc["mean_ami"] == list(curve.mean_ami)
         assert len(doc["per_rep"]) == 3
 
-    @pytest.mark.parametrize("spec", PERTURBED, ids=lambda spec: spec.kind)
-    def test_three_files_agree_with_per_rep(self, sweep, tmp_path, spec):
-        curve = run_protocol(sweep(1, 4), spec)
+    @ALL_KINDS
+    def test_three_files_agree_with_per_rep(self, sweep, tmp_path, kind):
+        curve = run_protocol(stability.KINDS[kind], sweep(1, 4), PERTURBED)
         write_curve(curve, tmp_path)
-        stem = tmp_path / f"stability_{stability.KINDS[spec.kind]}"
+        stem = tmp_path / f"stability_{stability.KINDS[kind]}"
         doc = json.loads(stem.with_suffix(".json").read_text())
         rows = [line.split(",") for line in stem.with_suffix(".csv").read_text().splitlines()[1:]]
         assert [int(k) for k, _, _ in rows] == doc["k_values"] == list(curve.k_values)
@@ -260,8 +255,8 @@ class TestCurveExport:
         assert np.asarray(doc["std_ami"]).tobytes() == per_rep.std(axis=0).tobytes()
 
     def test_combined_csv(self, sweep, tmp_path):
-        spec_d = PerturbationSpec(kind="dimension_subsample", fraction=0.8, repetitions=2)
-        spec_s = PerturbationSpec(kind="seed_variation", seed_range=(1, 2))
+        spec_d = PerturbationSpec(fraction=0.8, reps=2)
+        spec_s = PerturbationSpec(seed_lo=1, seed_hi=2)
         curves = [
             dimension_stability(sweep(1, 2), spec_d),
             seed_stability(sweep(1, 2), spec_s),
